@@ -5,20 +5,44 @@ a handful of differentiable ops, and topological-order backpropagation.
 Ops are dtype-generic (float32 for training, float64 for gradient checks)
 with reductions accumulated in float64 where it matters numerically.
 
-Every forward op validates that its output is finite and raises
-NonFiniteError otherwise, so overflow surfaces at the op that produced it
-instead of three layers later.  Backward passes are not guarded: the
-training loop inspects gradients itself so it can skip a bad step rather
-than crash.
+A graph is backpropagated once.  `Tensor.backward` releases it as it
+walks: each node loses its closure and parents before its gradient flows
+on, and an interior node's `.grad` is dropped once consumed, so reference
+counting alone frees every activation the graph saved.  Leaves (nodes
+without a backward closure, such as parameters) keep their `.grad`.
+Inside `no_grad()` ops record nothing at all: outputs do not require
+grad, and no parents or closures are kept.  Evaluation runs there.
+
+Every forward op except the view ops `reshape` and `transpose` validates
+that its output is finite and raises NonFiniteError otherwise, so overflow
+surfaces at the op that produced it instead of three layers later.  A
+view of a checked array cannot introduce inf or nan.  Backward passes are
+not guarded: the training loop inspects gradients itself so it can skip a
+bad step rather than crash.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
 _FLOAT_KINDS = ("f",)
+
+
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording a graph; the previous mode returns on exit."""
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
 
 
 class NonFiniteError(ArithmeticError):
@@ -83,7 +107,13 @@ class Tensor:
         return matmul(self, other)
 
     def backward(self) -> None:
-        """Backpropagate from a scalar; fills .grad on every grad-requiring node."""
+        """Backpropagate from a scalar into the .grad of every leaf it reaches.
+
+        The graph is consumed: each node is detached (no closure, no
+        parents) before its gradient flows on, and interior nodes drop
+        their .grad afterwards.  Leaves keep theirs.  A second call on the
+        same output therefore reaches nothing.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward needs a scalar, got shape {self.data.shape}")
         topo: list[Tensor] = []
@@ -102,9 +132,15 @@ class Tensor:
                 if parent.requires_grad:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward()
+        while topo:
+            node = topo.pop()
+            closure = node._backward
+            if closure is None:
+                continue
+            node._backward = None
+            node._parents = ()
+            closure()
+            node.grad = None
 
 
 def _as_tensor(x, like: Tensor) -> Tensor:
@@ -123,9 +159,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str) -> Tensor:
-    _ensure_finite(data, op)
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
+          checked: bool = True) -> Tensor:
+    if checked:
+        _ensure_finite(data, op)
+    out = Tensor(data, requires_grad=_GRAD_ENABLED.get()
+                 and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(p for p in parents if p.requires_grad)
     return out
@@ -286,7 +325,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = _node(x.data.reshape(shape), (x,), "reshape")
+    out = _node(x.data.reshape(shape), (x,), "reshape", checked=False)
     if out.requires_grad:
         def _back():
             x.accumulate_grad(out.grad.reshape(x.data.shape))
@@ -296,7 +335,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     axes = tuple(axes) if axes is not None else tuple(reversed(range(x.data.ndim)))
-    out = _node(x.data.transpose(axes), (x,), "transpose")
+    out = _node(x.data.transpose(axes), (x,), "transpose", checked=False)
     if out.requires_grad:
         inverse = tuple(np.argsort(axes))
         def _back():
@@ -358,6 +397,7 @@ def grad_check(f, x: Tensor, tolerance: float = 1e-3,
 
     f maps a Tensor to a scalar Tensor and must be deterministic.  Run with
     float64 data; float32 round-off easily exceeds any sensible tolerance.
+    The finite-difference evaluations run under no_grad.
     """
     x.zero_grad()
     loss = f(x)
@@ -369,14 +409,15 @@ def grad_check(f, x: Tensor, tolerance: float = 1e-3,
     numeric = np.zeros_like(x.data)
     flat = x.data.reshape(-1)
     num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + step
-        hi = float(f(x).data)
-        flat[i] = keep - step
-        lo = float(f(x).data)
-        flat[i] = keep
-        num_flat[i] = (hi - lo) / (2.0 * step)
+    with no_grad():
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + step
+            hi = float(f(x).data)
+            flat[i] = keep - step
+            lo = float(f(x).data)
+            flat[i] = keep
+            num_flat[i] = (hi - lo) / (2.0 * step)
 
     diff = np.abs(analytic - numeric)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)

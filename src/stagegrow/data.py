@@ -131,7 +131,8 @@ def perplexity(model, stream: TokenStream, seq_len: int, batch_size: int = 8,
     """Mean cross-entropy and perplexity over the stream's windows, in order.
 
     max_windows caps evaluation to the first windows of the stream (a
-    deterministic subset); None evaluates everything.
+    deterministic subset); None evaluates everything.  Runs under
+    autodiff.no_grad, so no graph is built.
     """
     windows = _window_matrix(stream, seq_len)
     if max_windows is not None:
@@ -141,8 +142,9 @@ def perplexity(model, stream: TokenStream, seq_len: int, batch_size: int = 8,
     for start in range(0, windows.shape[0], batch_size):
         block = windows[start:start + batch_size].astype(np.int64)
         inputs, targets = block[:, :-1], block[:, 1:]
-        logits = model_lib.forward(model, inputs)
-        loss = ad.cross_entropy(logits, targets)
+        with ad.no_grad():
+            logits = model_lib.forward(model, inputs)
+            loss = ad.cross_entropy(logits, targets)
         n = targets.size
         total_nats += float(loss.data) * n
         total_tokens += n

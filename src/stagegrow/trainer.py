@@ -294,7 +294,8 @@ class _RunWriter:
 
     def record(self, payload: dict) -> None:
         if self._log is not None:
-            self._log.write(json.dumps(payload, sort_keys=True) + "\n")
+            self._log.write(
+                json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
     def flush_ledger(self, ledger: RunLedger) -> None:
         if self.out_dir is not None:
@@ -409,7 +410,8 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                         f"non-finite loss at step {global_step}: {exc}") from exc
 
                 norm = clip_gradients(trainables, config.grad_clip)
-                if math.isfinite(norm):
+                norm_finite = math.isfinite(norm)
+                if norm_finite:
                     adamw_step(trainables, opt_state, lr, config.betas,
                                config.eps, config.weight_decay)
                 else:
@@ -425,7 +427,9 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                 record.final_train_loss = loss_value
                 writer.record({"kind": "step", "step": global_step,
                                "stage": stage_i, "lr": lr, "loss": loss_value,
-                               "grad_norm": norm, "tokens": record.tokens})
+                               "grad_norm": norm if norm_finite else None,
+                               "grad_norm_finite": norm_finite,
+                               "tokens": record.tokens})
                 global_step += 1
                 steps_since_attach += 1
 

@@ -1,10 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from stagegrow.autodiff import (NonFiniteError, Tensor, add, cross_entropy,
-                                embedding, grad_check, matmul, mul, reshape,
-                                rms_norm, rope, scale, silu, softmax, sum_all,
-                                transpose)
+                                embedding, grad_check, matmul, mul, no_grad,
+                                reshape, rms_norm, rope, scale, silu, softmax,
+                                sum_all, transpose)
+from stagegrow.data import TokenStream, perplexity
+from stagegrow.growth import AdapterSpec, attach_adapters, freeze_layers
+from stagegrow.model import (ModelConfig, build_model, forward,
+                             named_parameters, trainable_parameters)
 
 
 def leaf(rng, *shape):
@@ -333,3 +340,95 @@ def test_no_grad_tracking_without_requires_grad():
     assert not y.requires_grad
     assert y._parents == ()
     assert y._backward is None
+
+
+# ---------------------------------------------------------------------------
+# Graph lifetime and no_grad
+# ---------------------------------------------------------------------------
+
+def staged_model():
+    """Two layers, the lower one frozen with live adapters."""
+    cfg = ModelConfig(hidden_dim=48, layer_count=2, head_count=4, max_seq_len=16)
+    model = build_model(cfg, seed=0)
+    freeze_layers(model, [0])
+    attach_adapters(model, [0], AdapterSpec(rank=4), seed=1)
+    return model
+
+
+def test_backward_frees_graph_without_cycle_collector():
+    model = staged_model()
+    rng = np.random.default_rng(0)
+    ids = rng.integers(0, 256, size=(2, 16))
+    targets = rng.integers(0, 256, size=(2, 16))
+    gc.collect()
+    gc.disable()
+    try:
+        logits = forward(model, ids)
+        loss = cross_entropy(logits, targets)
+        loss.backward()
+        assert logits.grad is None and loss.grad is None
+        alive = weakref.ref(logits.data)
+        del loss, logits
+        # Reference counting alone must release the graph's activations.
+        assert alive() is None
+    finally:
+        gc.enable()
+    trainables = trainable_parameters(model)
+    assert any(".adapters." in name for name, _ in trainables)
+    for name, t in trainables:
+        assert t.grad is not None and t.grad.shape == t.data.shape, name
+    for name, t in named_parameters(model):
+        if not t.requires_grad:
+            assert t.grad is None, name
+
+
+def test_no_grad_records_nothing():
+    rng = np.random.default_rng(3)
+    x = leaf(rng, 2, 4, 6)
+    w = leaf(rng, 6, 6)
+    table = leaf(rng, 10, 6)
+    theta = rng.standard_normal((4, 6))
+    with no_grad():
+        outs = [add(x, x), mul(x, x), scale(x, 2.0), matmul(x, w), silu(x),
+                softmax(x), rms_norm(x, leaf(rng, 6)),
+                embedding(table, np.array([1, 2])),
+                cross_entropy(x, np.zeros((2, 4), dtype=np.int64)),
+                reshape(x, (8, 6)), transpose(x),
+                rope(x, np.cos(theta), np.sin(theta)), sum_all(x)]
+    for out in outs:
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert out._backward is None
+    assert mul(x, x).requires_grad
+
+
+def test_no_grad_restores_mode_after_exception_and_nesting():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside")
+    assert mul(x, x).requires_grad
+    with no_grad():
+        with no_grad():
+            assert not mul(x, x).requires_grad
+        assert not mul(x, x).requires_grad
+    assert mul(x, x).requires_grad
+
+
+def test_perplexity_matches_grad_enabled_forward():
+    model = staged_model()
+    ids = np.random.default_rng(5).integers(0, 256, 200, dtype=np.uint8)
+    report = perplexity(model, TokenStream(ids, "test", "validation"),
+                        seq_len=16, batch_size=3, max_windows=7)
+    total = 0.0
+    for start in range(0, 7, 3):
+        block = np.stack([ids[w * 16:w * 16 + 17]
+                          for w in range(start, min(start + 3, 7))])
+        block = block.astype(np.int64)
+        loss = cross_entropy(forward(model, block[:, :-1]), block[:, 1:])
+        assert loss.requires_grad
+        total += float(loss.data) * block[:, 1:].size
+    mean = total / (7 * 16)
+    assert report.tokens == 7 * 16
+    assert report.loss == mean
+    assert report.ppl == float(np.exp(mean))

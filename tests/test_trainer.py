@@ -309,7 +309,7 @@ def test_identical_runs_are_identical(streams):
         assert np.array_equal(a.data, b.data), name
 
 
-def test_exploded_grads_skip_steps_without_divergence(streams):
+def test_exploded_grads_skip_steps_without_divergence(streams, tmp_path):
     # Pre-norm blocks rescale arbitrarily large activations back to O(1),
     # so a big-but-representable blowup only poisons the gradients: those
     # steps are skipped and training limps on rather than aborting.
@@ -317,11 +317,28 @@ def test_exploded_grads_skip_steps_without_divergence(streams):
     cfg = train_config(total_steps=6, peak_lr=1e8, warmup_steps=0)
     with np.errstate(all="ignore"):
         result = run_schedule(MODEL_CONFIG, (2,), cfg, GrowthOptions(),
-                              train, None)
+                              train, None, out_dir=tmp_path / "run")
     events = [e for s in result.ledger.stages for e in s.events]
     assert any(e["event"] == "skipped_nonfinite_grads" for e in events)
     assert all(math.isfinite(v) for s in result.ledger.stages
                for v in s.loss_curve)
+
+    # The step log stays strict JSON: no NaN or Infinity tokens.
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    lines = [json.loads(line, parse_constant=reject) for line in
+             (tmp_path / "run" / "log.ndjson").read_text().splitlines()]
+    skipped = {e["step"] for e in events
+               if e["event"] == "skipped_nonfinite_grads"}
+    steps = [rec for rec in lines if rec["kind"] == "step"]
+    assert len(steps) == 6
+    for rec in steps:
+        assert rec["grad_norm_finite"] == (rec["step"] not in skipped)
+        if rec["step"] in skipped:
+            assert rec["grad_norm"] is None
+        else:
+            assert math.isfinite(rec["grad_norm"])
 
 
 def test_divergence_flushes_ledger(streams, tmp_path):
