@@ -10,19 +10,41 @@ walks: each node loses its closure and parents before its gradient flows
 on, and an interior node's `.grad` is dropped once consumed, so reference
 counting alone frees every activation the graph saved.  Leaves (nodes
 without a backward closure, such as parameters) keep their `.grad`.
-Inside `no_grad()` ops record nothing at all: outputs do not require
-grad, and no parents or closures are kept.  Evaluation runs there.
+A backward closure reaches its own output only through a weak reference,
+so a graph that is built but never backpropagated holds no reference
+cycle either: dropping its output frees it.  Inside `no_grad()` ops record
+nothing at all: outputs do not require grad, and no parents or closures
+are kept.  Evaluation runs there.
 
-Every forward op except the view ops `reshape` and `transpose` validates
-that its output is finite and raises NonFiniteError otherwise, so overflow
-surfaces at the op that produced it instead of three layers later.  A
-view of a checked array cannot introduce inf or nan.  Backward passes are
-not guarded: the training loop inspects gradients itself so it can skip a
-bad step rather than crash.
+Gradient ownership: no two tensors' `.grad` share memory.  The first
+gradient a tensor receives from an op's backward is a fresh array (or a
+view of the consumed output's `.grad`, which is dropped right after), so
+the tensor takes it over instead of zero-filling and adding.  Arrays that
+another consumer may still see are copied first: the second operand's
+share of an `add` whose first operand took a view of the same gradient,
+and any array a caller passes to `Tensor.accumulate_grad`.
+
+`matmul` with a 2-D right operand (a weight) folds the left operand's
+leading dimensions in backward, so each gradient is one 2-D GEMM and the
+weight gradient needs no reduction over a batch of products.  Its forward
+keeps numpy's own product, so forward values do not depend on the fold.
+
+Every forward op validates that its output is finite and raises
+NonFiniteError otherwise, so overflow surfaces at the op that produced it
+instead of three layers later.  The probe is the output's dot product
+with itself in its own dtype (one BLAS call); a non-finite result, which
+finite values can also produce when the sum of squares overflows, falls
+back to an exact element-wise check.  Four ops skip the probe because
+their output is bounded by finite input: the view ops `reshape` and
+`transpose` (a view of a checked array), `softmax` (output in [0, 1]) and
+`silu` (|silu(x)| <= |x|).  Backward passes are not guarded: the training
+loop inspects gradients itself so it can skip a bad step rather than
+crash.
 """
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -52,9 +74,14 @@ class NonFiniteError(ArithmeticError):
 def _ensure_finite(data: np.ndarray, op: str) -> None:
     if data.dtype.kind not in _FLOAT_KINDS:
         return
-    # Cheap probe: any inf/nan in the array drags a float64 sum non-finite.
-    if np.isfinite(np.sum(data, dtype=np.float64)):
-        return
+    # Cheap probe: the array's dot product with itself, in its own dtype.
+    # The squares are non-negative, so an inf cannot cancel and a nan
+    # propagates; a sum of squares that overflowed from finite values lands
+    # in the exact check below.
+    flat = data.ravel("K")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.dot(flat, flat)):
+            return
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{op} produced non-finite values")
 
@@ -62,7 +89,8 @@ def _ensure_finite(data: np.ndarray, op: str) -> None:
 class Tensor:
     """Array node in the autodiff graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
@@ -87,9 +115,12 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add g into .grad; the first call stores a copy, never g itself."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(np.broadcast_to(g, self.data.shape),
+                                 dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def __add__(self, other):
         return add(self, other)
@@ -159,6 +190,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _hand_over(t: Tensor, g: np.ndarray) -> None:
+    """Accumulate g into t.grad; t's first gradient is g itself, not a copy.
+
+    Only for an array that no other tensor or caller sees afterwards.
+    """
+    if t.grad is None:
+        t.grad = g if g.dtype == t.data.dtype else g.astype(t.data.dtype)
+    else:
+        t.grad += g
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
           checked: bool = True) -> Tensor:
     if checked:
@@ -170,16 +212,31 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
     return out
 
 
+def _attach(out: Tensor, back) -> None:
+    """Make back(out.grad) out's zero-argument backward closure.
+
+    The closure holds out weakly; a strong reference would put every node
+    in a cycle that only the cyclic collector frees.
+    """
+    ref = weakref.ref(out)
+    out._backward = lambda: back(ref().grad)
+
+
 def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out = _node(a.data + b.data, (a, b), "add")
     if out.requires_grad:
-        def _back():
+        def _back(g):
+            ga = None
             if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(out.grad, a.data.shape))
+                ga = _unbroadcast(g, a.data.shape)
+                _hand_over(a, ga)
             if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(out.grad, b.data.shape))
-        out._backward = _back
+                gb = _unbroadcast(g, b.data.shape)
+                if ga is not None and np.may_share_memory(ga, gb):
+                    gb = gb.copy()  # a may have taken this buffer over
+                _hand_over(b, gb)
+        _attach(out, _back)
     return out
 
 
@@ -187,21 +244,21 @@ def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out = _node(a.data * b.data, (a, b), "mul")
     if out.requires_grad:
-        def _back():
+        def _back(g):
             if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(out.grad * b.data, a.data.shape))
+                _hand_over(a, _unbroadcast(g * b.data, a.data.shape))
             if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(out.grad * a.data, b.data.shape))
-        out._backward = _back
+                _hand_over(b, _unbroadcast(g * a.data, b.data.shape))
+        _attach(out, _back)
     return out
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     out = _node(a.data * s, (a,), "scale")
     if out.requires_grad:
-        def _back():
-            a.accumulate_grad(out.grad * s)
-        out._backward = _back
+        def _back(g):
+            _hand_over(a, g * s)
+        _attach(out, _back)
     return out
 
 
@@ -210,15 +267,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul operands must have ndim >= 2")
     out = _node(a.data @ b.data, (a, b), "matmul")
     if out.requires_grad:
-        def _back():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(
-                    g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(
-                    np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
-        out._backward = _back
+        if b.data.ndim == 2:
+            def _back(g):
+                # Fold a's leading dimensions: one 2-D GEMM per gradient.
+                k, n = b.data.shape
+                g2 = g.reshape(-1, n)
+                if a.requires_grad:
+                    _hand_over(a, (g2 @ b.data.T).reshape(a.data.shape))
+                if b.requires_grad:
+                    a2 = a.data.reshape(-1, k)
+                    # In b's layout: a weight used as transpose(w) then
+                    # gets a C-ordered gradient, as its optimizer moments.
+                    _hand_over(b, (g2.T @ a2).T if b.data.flags.f_contiguous
+                               else a2.T @ g2)
+        else:
+            def _back(g):
+                if a.requires_grad:
+                    _hand_over(a, _unbroadcast(
+                        g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+                if b.requires_grad:
+                    _hand_over(b, _unbroadcast(
+                        np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        _attach(out, _back)
     return out
 
 
@@ -229,11 +299,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def silu(x: Tensor) -> Tensor:
     sig = _sigmoid(x.data)
-    out = _node(x.data * sig, (x,), "silu")
+    # |x * sigmoid(x)| <= |x|: finite input, finite output; no probe.
+    out = _node(x.data * sig, (x,), "silu", checked=False)
     if out.requires_grad:
-        def _back():
-            x.accumulate_grad(out.grad * sig * (1.0 + x.data * (1.0 - sig)))
-        out._backward = _back
+        def _back(g):
+            _hand_over(x, g * sig * (1.0 + x.data * (1.0 - sig)))
+        _attach(out, _back)
     return out
 
 
@@ -242,13 +313,13 @@ def softmax(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     y = ex / ex.sum(axis=-1, keepdims=True)
-    out = _node(y, (x,), "softmax")
+    # Finite input gives output in [0, 1]; no probe.
+    out = _node(y, (x,), "softmax", checked=False)
     if out.requires_grad:
-        def _back():
-            g = out.grad
+        def _back(g):
             inner = (g * y).sum(axis=-1, keepdims=True)
-            x.accumulate_grad(y * (g - inner))
-        out._backward = _back
+            _hand_over(x, y * (g - inner))
+        _attach(out, _back)
     return out
 
 
@@ -260,15 +331,14 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     normed = x.data * inv
     out = _node(normed * gain.data, (x, gain), "rms_norm")
     if out.requires_grad:
-        def _back():
-            g = out.grad
+        def _back(g):
             if gain.requires_grad:
-                gain.accumulate_grad(_unbroadcast(g * normed, gain.data.shape))
+                _hand_over(gain, _unbroadcast(g * normed, gain.data.shape))
             if x.requires_grad:
                 du = g * gain.data
                 proj = (du * x.data).sum(axis=-1, keepdims=True) / n
-                x.accumulate_grad(inv * du - (inv ** 3) * x.data * proj)
-        out._backward = _back
+                _hand_over(x, inv * du - (inv ** 3) * x.data * proj)
+        _attach(out, _back)
     return out
 
 
@@ -282,11 +352,11 @@ def embedding(weight: Tensor, ids) -> Tensor:
         raise ValueError(f"ids out of range for vocab {vocab}")
     out = _node(weight.data[ids], (weight,), "embedding")
     if out.requires_grad:
-        def _back():
+        def _back(g):
             gw = np.zeros_like(weight.data)
-            np.add.at(gw, ids, out.grad)
-            weight.accumulate_grad(gw)
-        out._backward = _back
+            np.add.at(gw, ids, g)
+            _hand_over(weight, gw)
+        _attach(out, _back)
     return out
 
 
@@ -313,23 +383,22 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     losses = (lse - picked).astype(np.float64)
     out = _node(np.asarray(losses.mean()), (logits,), "cross_entropy")
     if out.requires_grad:
-        def _back():
+        def _back(g):
             probs = np.exp(shifted)
             probs /= probs.sum(axis=1, keepdims=True)
             probs[np.arange(flat.shape[0]), tgt] -= 1.0
-            g = (float(out.grad) / flat.shape[0]) * probs
-            logits.accumulate_grad(g.reshape(logits.data.shape).astype(
-                logits.data.dtype))
-        out._backward = _back
+            probs *= float(g) / flat.shape[0]
+            _hand_over(logits, probs.reshape(logits.data.shape))
+        _attach(out, _back)
     return out
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = _node(x.data.reshape(shape), (x,), "reshape", checked=False)
     if out.requires_grad:
-        def _back():
-            x.accumulate_grad(out.grad.reshape(x.data.shape))
-        out._backward = _back
+        def _back(g):
+            _hand_over(x, g.reshape(x.data.shape))
+        _attach(out, _back)
     return out
 
 
@@ -338,9 +407,9 @@ def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     out = _node(x.data.transpose(axes), (x,), "transpose", checked=False)
     if out.requires_grad:
         inverse = tuple(np.argsort(axes))
-        def _back():
-            x.accumulate_grad(out.grad.transpose(inverse))
-        out._backward = _back
+        def _back(g):
+            _hand_over(x, g.transpose(inverse))
+        _attach(out, _back)
     return out
 
 
@@ -362,13 +431,12 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
             f"cos/sin shape {cos.shape} must equal {x.data.shape[-2:]}")
     out = _node(x.data * cos + _rotate_half(x.data) * sin, (x,), "rope")
     if out.requires_grad:
-        def _back():
-            g = out.grad
+        def _back(g):
             gs = g * sin
             half = gs.shape[-1] // 2
             adj = np.concatenate([gs[..., half:], -gs[..., :half]], axis=-1)
-            x.accumulate_grad(g * cos + adj)
-        out._backward = _back
+            _hand_over(x, g * cos + adj)
+        _attach(out, _back)
     return out
 
 
@@ -376,9 +444,9 @@ def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar of the same dtype."""
     out = _node(np.asarray(x.data.sum()), (x,), "sum_all")
     if out.requires_grad:
-        def _back():
-            x.accumulate_grad(np.broadcast_to(out.grad, x.data.shape).copy())
-        out._backward = _back
+        def _back(g):
+            _hand_over(x, np.broadcast_to(g, x.data.shape).copy())
+        _attach(out, _back)
     return out
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -204,10 +205,15 @@ def _split_heads(x: Tensor, batch: int, seq: int, config: ModelConfig) -> Tensor
     return ad.transpose(x, (0, 2, 1, 3))  # (batch, head, seq, head_dim)
 
 
+@lru_cache(maxsize=16)
 def causal_mask(seq: int, dtype) -> np.ndarray:
-    """(seq, seq) additive mask: 0 on/below the diagonal, large negative above."""
+    """(seq, seq) additive mask: 0 on/below the diagonal, large negative above.
+
+    Cached per (seq, dtype) and read-only, since every caller shares it.
+    """
     mask = np.zeros((seq, seq), dtype=dtype)
     mask[np.triu_indices(seq, k=1)] = MASK_VALUE
+    mask.flags.writeable = False
     return mask
 
 

@@ -125,14 +125,25 @@ def adamw_step(params: list[tuple[str, Tensor]], state: dict, lr: float,
             st = state[name] = {
                 "m": np.zeros_like(t.data), "v": np.zeros_like(t.data), "t": 0}
         st["t"] += 1
-        st["m"] = b1 * st["m"] + (1.0 - b1) * g
-        st["v"] = b2 * st["v"] + (1.0 - b2) * np.square(g)
-        m_hat = st["m"] / (1.0 - b1 ** st["t"])
-        v_hat = st["v"] / (1.0 - b2 ** st["t"])
-        update = m_hat / (np.sqrt(v_hat) + eps)
+        # In place, in the order of m = b1*m + (1-b1)*g, v = b2*v +
+        # (1-b2)*g^2, update = m_hat / (sqrt(v_hat) + eps) + wd*w and
+        # w -= lr*update: the same roundings as the out-of-place form.
+        m, v = st["m"], st["v"]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        g2 = np.square(g)
+        g2 *= 1.0 - b2
+        v += g2
+        update = m / (1.0 - b1 ** st["t"])
+        denom = v / (1.0 - b2 ** st["t"])
+        np.sqrt(denom, out=denom)
+        denom += eps
+        update /= denom
         if weight_decay and t.data.ndim >= 2:
-            update = update + weight_decay * t.data
-        t.data -= (lr * update).astype(t.data.dtype)
+            update += weight_decay * t.data
+        update *= lr
+        t.data -= update.astype(t.data.dtype, copy=False)
 
 
 def global_grad_norm(params: list[tuple[str, Tensor]]) -> float:

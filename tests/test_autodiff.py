@@ -87,6 +87,21 @@ def test_grad_matmul_batched(seed):
     assert report.passed, report
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("lead", [(2, 3), (2, 2, 3)])
+def test_grad_matmul_folded_weight(seed, lead):
+    # An N-D left operand against a 2-D right one takes the folded path;
+    # both operands require grad, so both gradient GEMMs run.
+    rng = np.random.default_rng(seed)
+    a = leaf(rng, *lead, 4)
+    w = leaf(rng, 4, 5)
+    wsum = weighter(np.random.default_rng(seed + 1000), (*lead, 5))
+    report = grad_check(lambda t: wsum(matmul(t, w)), a)
+    assert report.passed, report
+    report = grad_check(lambda t: wsum(matmul(a, t)), w)
+    assert report.passed, report
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_grad_silu(seed):
     rng = np.random.default_rng(seed)
@@ -280,6 +295,54 @@ def test_overflow_raises_nonfinite():
         mul(big, big)
 
 
+def test_probe_tolerates_an_overflowing_sum_of_finite_values():
+    # The probe's float32 sums overflow to inf, yet every element is finite.
+    big = Tensor(np.full((4, 4), 3e38, dtype=np.float32))
+    out = add(big, Tensor(np.zeros((4, 4), dtype=np.float32)))
+    assert np.all(out.data == np.float32(3e38))
+    for bad in (np.inf, -np.inf, np.nan):
+        x = np.full((4, 4), 3e38, dtype=np.float32)
+        x[1, 2] = bad
+        with pytest.raises(NonFiniteError):
+            add(Tensor(x), Tensor(np.zeros((4, 4), dtype=np.float32)))
+
+
+@pytest.mark.parametrize("size", [1, 7, 33, 1001])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_probe_catches_a_single_nonfinite_anywhere(size, bad):
+    # Sizes off any vector width, so vector bodies and scalar tails both run.
+    for dtype in (np.float32, np.float64):
+        for where in sorted({0, size // 2, size - 1}):
+            x = np.random.default_rng(size).standard_normal(size).astype(dtype)
+            x[where] = bad
+            with pytest.raises(NonFiniteError):
+                scale(Tensor(x), 1.0)
+            # A non-contiguous output: add keeps its input's transposed layout.
+            col = Tensor(np.stack([x, x], axis=1))
+            with pytest.raises(NonFiniteError):
+                add(transpose(col), 0.0)
+
+
+def test_leaf_gradients_share_no_memory():
+    rng = np.random.default_rng(4)
+    x, y, w = leaf(rng, 3, 4), leaf(rng, 3, 4), leaf(rng, 3, 4)
+    c = rng.standard_normal((3, 4))
+    s = add(x, y)                      # one add feeds two leaves
+    u = add(add(s, mul(w, w)), x)      # w used twice, x reached twice
+    sum_all(mul(u, Tensor(c))).backward()
+    assert np.array_equal(x.grad, 2.0 * c)
+    assert np.array_equal(y.grad, c)
+    assert np.array_equal(w.grad, c * w.data + c * w.data)
+    grads = [x.grad, y.grad, w.grad]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert not np.shares_memory(grads[i], grads[j]), (i, j)
+    caller = np.ones((3, 4))
+    z = Tensor(np.zeros((3, 4)), requires_grad=True)
+    z.accumulate_grad(caller)
+    assert not np.shares_memory(z.grad, caller)
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
@@ -380,6 +443,23 @@ def test_backward_frees_graph_without_cycle_collector():
     for name, t in named_parameters(model):
         if not t.requires_grad:
             assert t.grad is None, name
+
+
+def test_graph_without_backward_is_freed_without_cycle_collector():
+    model = staged_model()
+    ids = np.random.default_rng(1).integers(0, 256, size=(2, 16))
+    gc.collect()
+    gc.disable()
+    try:
+        logits = forward(model, ids)
+        assert logits.requires_grad and logits._backward is not None
+        alive = weakref.ref(logits)
+        alive_data = weakref.ref(logits.data)
+        del logits
+        # No closure holds its own output, so no node sits in a cycle.
+        assert alive() is None and alive_data() is None
+    finally:
+        gc.enable()
 
 
 def test_no_grad_records_nothing():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from stagegrow import autodiff
 from stagegrow.autodiff import cross_entropy
+from stagegrow.growth import AdapterSpec, attach_adapters, freeze_layers
 from stagegrow.memory import layer_params
 from stagegrow.model import (MASK_VALUE, ModelConfig, build_model, causal_mask,
                              count_params, forward, named_parameters,
@@ -140,6 +142,12 @@ def test_causal_mask_values():
     assert mask.shape == (4, 4)
     assert np.all(mask[np.tril_indices(4)] == 0.0)
     assert np.all(mask[np.triu_indices(4, k=1)] == MASK_VALUE)
+    # Cached per (seq, dtype) and shared, so no caller may write to it.
+    assert causal_mask(4, np.float32) is mask
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 1] = 0.0
+    assert causal_mask(4, np.float64).dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -217,3 +225,41 @@ def test_named_parameters_order_stable():
     assert names[:3] == ["embed", "unembed", "final_gain"]
     assert names[3] == "layers.0.w_q"
     assert names == [n for n, _ in named_parameters(model)]
+
+
+def test_forward_matmul_flops_follow_the_benchmark_contract(monkeypatch):
+    # The benchmark's tracer wraps autodiff.matmul by attribute, counts
+    # 2 * out.size * k FLOPs per call and names each weight operand by its
+    # array (or the array's base).  An engine change that moves a GEMM out
+    # of matmul, or hands it a weight copy, breaks that tracing.
+    d, rank, seq, batch = 48, 4, 16, 2
+    cfg = small_config(hidden_dim=d, layer_count=3, max_seq_len=seq)
+    model = build_model(cfg, seed=0)
+    freeze_layers(model, [0, 1])
+    attach_adapters(model, [0, 1], AdapterSpec(rank=rank), seed=1)
+    params = {id(t.data): name for name, t in named_parameters(model)}
+    calls = []
+    orig = autodiff.matmul
+
+    def traced(a, b):
+        out = orig(a, b)
+        name = params.get(id(b.data))
+        if name is None and b.data.base is not None:
+            name = params.get(id(b.data.base))
+        calls.append((name, b.data.ndim, 2 * out.data.size * a.data.shape[-1]))
+        return out
+
+    monkeypatch.setattr(autodiff, "matmul", traced)
+    tokens = np.random.default_rng(0).integers(0, 256, size=(batch, seq))
+    forward(model, tokens)
+
+    per_token = 2 * cfg.vocab_size * d + 3 * (24 * d * d + 4 * seq * d) + 2 * 38 * rank * d
+    assert sum(flops for _, _, flops in calls) == per_token * batch * seq
+    # Attention scores and mixing multiply activations by activations; every
+    # other product's right operand is a named parameter.
+    core = [c for c in calls if c[1] == 4]
+    weights = [c for c in calls if c[1] == 2]
+    assert len(core) == 2 * cfg.layer_count and all(c[0] is None for c in core)
+    assert len(weights) == len(calls) - len(core)
+    assert all(name is not None for name, _, _ in weights), weights
+    assert sum(".adapters." in name for name, _, _ in weights) == 2 * 2 * 7
