@@ -19,10 +19,10 @@ are kept.  Evaluation runs there.
 Gradient ownership: no two tensors' `.grad` share memory.  The first
 gradient a tensor receives from an op's backward is a fresh array (or a
 view of the consumed output's `.grad`, which is dropped right after), so
-the tensor takes it over instead of zero-filling and adding.  Arrays that
-another consumer may still see are copied first: the second operand's
-share of an `add` whose first operand took a view of the same gradient,
-and any array a caller passes to `Tensor.accumulate_grad`.
+`Tensor.accumulate_grad` takes it over instead of zero-filling and adding.
+An array that another consumer may still see is copied before it is
+handed over: the second operand's share of an `add` whose first operand
+took a view of the same gradient.
 
 `matmul` with a 2-D right operand (a weight) folds the left operand's
 leading dimensions in backward, so each gradient is one 2-D GEMM and the
@@ -115,10 +115,13 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add g into .grad; the first call stores a copy, never g itself."""
+        """Add g into .grad; the first call takes g over as .grad, uncopied.
+
+        Pass only an array that no other tensor or caller sees afterwards.
+        """
         if self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape),
-                                 dtype=self.data.dtype)
+            self.grad = (g if g.dtype == self.data.dtype
+                         else g.astype(self.data.dtype))
         else:
             self.grad += g
 
@@ -190,17 +193,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _hand_over(t: Tensor, g: np.ndarray) -> None:
-    """Accumulate g into t.grad; t's first gradient is g itself, not a copy.
-
-    Only for an array that no other tensor or caller sees afterwards.
-    """
-    if t.grad is None:
-        t.grad = g if g.dtype == t.data.dtype else g.astype(t.data.dtype)
-    else:
-        t.grad += g
-
-
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
           checked: bool = True) -> Tensor:
     if checked:
@@ -230,12 +222,12 @@ def add(a: Tensor, b) -> Tensor:
             ga = None
             if a.requires_grad:
                 ga = _unbroadcast(g, a.data.shape)
-                _hand_over(a, ga)
+                a.accumulate_grad(ga)
             if b.requires_grad:
                 gb = _unbroadcast(g, b.data.shape)
                 if ga is not None and np.may_share_memory(ga, gb):
                     gb = gb.copy()  # a may have taken this buffer over
-                _hand_over(b, gb)
+                b.accumulate_grad(gb)
         _attach(out, _back)
     return out
 
@@ -246,9 +238,9 @@ def mul(a: Tensor, b) -> Tensor:
     if out.requires_grad:
         def _back(g):
             if a.requires_grad:
-                _hand_over(a, _unbroadcast(g * b.data, a.data.shape))
+                a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
             if b.requires_grad:
-                _hand_over(b, _unbroadcast(g * a.data, b.data.shape))
+                b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
         _attach(out, _back)
     return out
 
@@ -257,7 +249,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     out = _node(a.data * s, (a,), "scale")
     if out.requires_grad:
         def _back(g):
-            _hand_over(a, g * s)
+            a.accumulate_grad(g * s)
         _attach(out, _back)
     return out
 
@@ -273,20 +265,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 k, n = b.data.shape
                 g2 = g.reshape(-1, n)
                 if a.requires_grad:
-                    _hand_over(a, (g2 @ b.data.T).reshape(a.data.shape))
+                    a.accumulate_grad((g2 @ b.data.T).reshape(a.data.shape))
                 if b.requires_grad:
                     a2 = a.data.reshape(-1, k)
                     # In b's layout: a weight used as transpose(w) then
                     # gets a C-ordered gradient, as its optimizer moments.
-                    _hand_over(b, (g2.T @ a2).T if b.data.flags.f_contiguous
-                               else a2.T @ g2)
+                    b.accumulate_grad((g2.T @ a2).T if b.data.flags.f_contiguous
+                                      else a2.T @ g2)
         else:
             def _back(g):
                 if a.requires_grad:
-                    _hand_over(a, _unbroadcast(
+                    a.accumulate_grad(_unbroadcast(
                         g @ np.swapaxes(b.data, -1, -2), a.data.shape))
                 if b.requires_grad:
-                    _hand_over(b, _unbroadcast(
+                    b.accumulate_grad(_unbroadcast(
                         np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
         _attach(out, _back)
     return out
@@ -303,7 +295,7 @@ def silu(x: Tensor) -> Tensor:
     out = _node(x.data * sig, (x,), "silu", checked=False)
     if out.requires_grad:
         def _back(g):
-            _hand_over(x, g * sig * (1.0 + x.data * (1.0 - sig)))
+            x.accumulate_grad(g * sig * (1.0 + x.data * (1.0 - sig)))
         _attach(out, _back)
     return out
 
@@ -318,7 +310,7 @@ def softmax(x: Tensor) -> Tensor:
     if out.requires_grad:
         def _back(g):
             inner = (g * y).sum(axis=-1, keepdims=True)
-            _hand_over(x, y * (g - inner))
+            x.accumulate_grad(y * (g - inner))
         _attach(out, _back)
     return out
 
@@ -333,11 +325,11 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     if out.requires_grad:
         def _back(g):
             if gain.requires_grad:
-                _hand_over(gain, _unbroadcast(g * normed, gain.data.shape))
+                gain.accumulate_grad(_unbroadcast(g * normed, gain.data.shape))
             if x.requires_grad:
                 du = g * gain.data
                 proj = (du * x.data).sum(axis=-1, keepdims=True) / n
-                _hand_over(x, inv * du - (inv ** 3) * x.data * proj)
+                x.accumulate_grad(inv * du - (inv ** 3) * x.data * proj)
         _attach(out, _back)
     return out
 
@@ -355,7 +347,7 @@ def embedding(weight: Tensor, ids) -> Tensor:
         def _back(g):
             gw = np.zeros_like(weight.data)
             np.add.at(gw, ids, g)
-            _hand_over(weight, gw)
+            weight.accumulate_grad(gw)
         _attach(out, _back)
     return out
 
@@ -388,7 +380,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
             probs /= probs.sum(axis=1, keepdims=True)
             probs[np.arange(flat.shape[0]), tgt] -= 1.0
             probs *= float(g) / flat.shape[0]
-            _hand_over(logits, probs.reshape(logits.data.shape))
+            logits.accumulate_grad(probs.reshape(logits.data.shape))
         _attach(out, _back)
     return out
 
@@ -397,7 +389,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = _node(x.data.reshape(shape), (x,), "reshape", checked=False)
     if out.requires_grad:
         def _back(g):
-            _hand_over(x, g.reshape(x.data.shape))
+            x.accumulate_grad(g.reshape(x.data.shape))
         _attach(out, _back)
     return out
 
@@ -408,7 +400,7 @@ def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     if out.requires_grad:
         inverse = tuple(np.argsort(axes))
         def _back(g):
-            _hand_over(x, g.transpose(inverse))
+            x.accumulate_grad(g.transpose(inverse))
         _attach(out, _back)
     return out
 
@@ -435,7 +427,7 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
             gs = g * sin
             half = gs.shape[-1] // 2
             adj = np.concatenate([gs[..., half:], -gs[..., :half]], axis=-1)
-            _hand_over(x, g * cos + adj)
+            x.accumulate_grad(g * cos + adj)
         _attach(out, _back)
     return out
 
@@ -445,7 +437,7 @@ def sum_all(x: Tensor) -> Tensor:
     out = _node(np.asarray(x.data.sum()), (x,), "sum_all")
     if out.requires_grad:
         def _back(g):
-            _hand_over(x, np.broadcast_to(g, x.data.shape).copy())
+            x.accumulate_grad(np.broadcast_to(g, x.data.shape).copy())
         _attach(out, _back)
     return out
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -38,49 +39,31 @@ def streams(small_corpus_file):
 # ---------------------------------------------------------------------------
 
 def test_adamw_matches_hand_recurrence():
-    rng = np.random.default_rng(0)
-    w0 = rng.standard_normal((3, 2))
-    grads = [rng.standard_normal((3, 2)) for _ in range(3)]
-    t = Tensor(w0.copy(), requires_grad=True)
-    state = {}
     lr, b1, b2, eps, wd = 0.01, 0.9, 0.95, 1e-8, 0.1
+    for dtype, transposed in itertools.product((np.float64, np.float32),
+                                               (False, True)):
+        rng = np.random.default_rng(0)
+        w0 = rng.standard_normal((3, 2)).astype(dtype)
+        grads = [rng.standard_normal((3, 2)).astype(dtype) for _ in range(3)]
+        t = Tensor(w0.copy(), requires_grad=True)
+        state = {}
 
-    w, m, v = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
-    for k, g in enumerate(grads, start=1):
-        t.grad = g.copy()
-        adamw_step([("w", t)], state, lr, (b1, b2), eps, wd)
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** k)
-        v_hat = v / (1 - b2 ** k)
-        w = w - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * w)
-        assert t.data == pytest.approx(w, abs=1e-12)
-    assert state["w"]["t"] == 3
-
-
-def test_adamw_in_place_matches_out_of_place_reference_bit_for_bit():
-    rng = np.random.default_rng(1)
-    w0 = rng.standard_normal((4, 3)).astype(np.float32)
-    grads = [rng.standard_normal((4, 3)).astype(np.float32) for _ in range(4)]
-    t = Tensor(w0.copy(), requires_grad=True)
-    state = {}
-    lr, b1, b2, eps, wd = 3e-3, 0.9, 0.95, 1e-8, 0.1
-
-    w, m, v = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
-    for k, g in enumerate(grads, start=1):
-        # Transposed layout, as a weight used through transpose() gets it.
-        t.grad = np.ascontiguousarray(g.T).T
-        adamw_step([("w", t)], state, lr, (b1, b2), eps, wd)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * np.square(g)
-        m_hat = m / (1.0 - b1 ** k)
-        v_hat = v / (1.0 - b2 ** k)
-        update = m_hat / (np.sqrt(v_hat) + eps) + wd * w
-        w -= (lr * update).astype(w.dtype)
-        assert np.array_equal(t.data, w)
-        assert np.array_equal(state["w"]["m"], m)
-        assert np.array_equal(state["w"]["v"], v)
-    assert t.data.dtype == np.float32
+        # The out-of-place recurrence; the in-place update rounds the same.
+        w, m, v = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
+        for k, g in enumerate(grads, start=1):
+            # A weight used through transpose() gets its gradient in F order.
+            t.grad = np.ascontiguousarray(g.T).T if transposed else g.copy()
+            adamw_step([("w", t)], state, lr, (b1, b2), eps, wd)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * np.square(g)
+            m_hat = m / (1.0 - b1 ** k)
+            v_hat = v / (1.0 - b2 ** k)
+            w = w - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * w)
+            assert np.array_equal(t.data, w), (dtype, transposed, k)
+            assert np.array_equal(state["w"]["m"], m), (dtype, transposed, k)
+            assert np.array_equal(state["w"]["v"], v), (dtype, transposed, k)
+        assert t.data.dtype == dtype
+        assert state["w"]["t"] == 3
 
 
 def test_adamw_decay_applies_to_matrices_only():
