@@ -29,6 +29,12 @@ leading dimensions in backward, so each gradient is one 2-D GEMM and the
 weight gradient needs no reduction over a batch of products.  Its forward
 keeps numpy's own product, so forward values do not depend on the fold.
 
+`softmax(x, scale, mask)` is attention's whole scale -> mask -> softmax
+chain as one node: it computes softmax(scale * x + mask) in one output
+buffer, in the chain's rounding order.  The graph keeps one (batch, head,
+seq, seq) output where the chain kept three, and values and gradients stay
+bit-identical to the chain's.
+
 Every forward op validates that its output is finite and raises
 NonFiniteError otherwise, so overflow surfaces at the op that produced it
 instead of three layers later.  The probe is the output's dot product
@@ -36,10 +42,11 @@ with itself in its own dtype (one BLAS call); a non-finite result, which
 finite values can also produce when the sum of squares overflows, falls
 back to an exact element-wise check.  Four ops skip the probe because
 their output is bounded by finite input: the view ops `reshape` and
-`transpose` (a view of a checked array), `softmax` (output in [0, 1]) and
-`silu` (|silu(x)| <= |x|).  Backward passes are not guarded: the training
-loop inspects gradients itself so it can skip a bad step rather than
-crash.
+`transpose` (a view of a checked array), `silu` (|silu(x)| <= |x|) and
+`softmax` (output in [0, 1]) when its scale is at most 1 in magnitude and
+its mask is small enough that scale * x + mask cannot overflow; any other
+`softmax` is probed.  Backward passes are not guarded: the training loop
+inspects gradients itself so it can skip a bad step rather than crash.
 """
 
 from __future__ import annotations
@@ -71,17 +78,26 @@ class NonFiniteError(ArithmeticError):
     """A forward op produced inf or nan from finite inputs."""
 
 
+def _squares_sum_finite(data: np.ndarray) -> bool:
+    """Whether the array's dot product with itself, in its own dtype, is finite.
+
+    The squares are non-negative, so an inf cannot cancel and a nan
+    propagates: True means every value is finite and at most
+    sqrt(finfo.max) in magnitude.  False may also mean finite values whose
+    sum of squares overflowed.
+    """
+    flat = data.ravel("K")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(np.dot(flat, flat)))
+
+
 def _ensure_finite(data: np.ndarray, op: str) -> None:
     if data.dtype.kind not in _FLOAT_KINDS:
         return
-    # Cheap probe: the array's dot product with itself, in its own dtype.
-    # The squares are non-negative, so an inf cannot cancel and a nan
-    # propagates; a sum of squares that overflowed from finite values lands
-    # in the exact check below.
-    flat = data.ravel("K")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(np.dot(flat, flat)):
-            return
+    # Cheap probe first (one BLAS call); an overflowed sum of squares of
+    # finite values lands in the exact check below.
+    if _squares_sum_finite(data):
+        return
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{op} produced non-finite values")
 
@@ -300,17 +316,40 @@ def silu(x: Tensor) -> Tensor:
     return out
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis, max-subtracted for stability."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    y = ex / ex.sum(axis=-1, keepdims=True)
-    # Finite input gives output in [0, 1]; no probe.
-    out = _node(y, (x,), "softmax", checked=False)
+def softmax(x: Tensor, scale: float = 1.0, mask=None) -> Tensor:
+    """softmax(scale * x + mask) over the last axis, max-subtracted.
+
+    mask is an optional constant additive array broadcastable to x (no
+    gradient flows into it).  One output buffer holds every stage: scale,
+    mask, row max, exp and normalization run in place, in the rounding
+    order of the scale -> add -> softmax chain they replace, so values and
+    gradients are bit-identical to that chain.  The backward is computed in
+    place in the output's gradient: (g - sum(g * y)) * y * scale.
+
+    With |scale| <= 1 and a mask whose sum of squares is finite (so every
+    |mask| <= sqrt(finfo.max), far below half an ulp of finfo.max in
+    float32 and float64), finite x cannot overflow scale * x + mask.  Each
+    row's maximum then gives exp(0) = 1 and the output lies in [0, 1], so
+    there is no probe.  Otherwise the output is probed like any other op's.
+    """
+    scale = float(scale)
+    y = x.data * scale
+    bounded = abs(scale) <= 1.0
+    if mask is not None:
+        mask = np.asarray(mask, dtype=y.dtype)
+        y += mask
+        bounded = bounded and _squares_sum_finite(mask)
+    y -= np.fmax.reduce(y, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = _node(y, (x,), "softmax", checked=not bounded)
     if out.requires_grad:
         def _back(g):
-            inner = (g * y).sum(axis=-1, keepdims=True)
-            x.accumulate_grad(y * (g - inner))
+            # g is the consumed output's own gradient: overwrite it.
+            g -= (g * y).sum(axis=-1, keepdims=True)
+            g *= y
+            g *= scale
+            x.accumulate_grad(g)
         _attach(out, _back)
     return out
 
@@ -368,15 +407,16 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     vocab = flat.shape[1]
     if tgt.size and (tgt.min() < 0 or tgt.max() >= vocab):
         raise ValueError(f"targets out of range for vocab {vocab}")
-    m = flat.max(axis=1, keepdims=True)
-    shifted = flat - m
-    lse = np.log(np.exp(shifted).sum(axis=1)) + m[:, 0]
+    m = np.fmax.reduce(flat, axis=1, keepdims=True)
+    ex = flat - m
+    np.exp(ex, out=ex)
+    lse = np.log(ex.sum(axis=1)) + m[:, 0]
     picked = flat[np.arange(flat.shape[0]), tgt]
     losses = (lse - picked).astype(np.float64)
     out = _node(np.asarray(losses.mean()), (logits,), "cross_entropy")
     if out.requires_grad:
         def _back(g):
-            probs = np.exp(shifted)
+            probs = ex  # the forward's exp, normalized in place: runs once
             probs /= probs.sum(axis=1, keepdims=True)
             probs[np.arange(flat.shape[0]), tgt] -= 1.0
             probs *= float(g) / flat.shape[0]

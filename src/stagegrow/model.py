@@ -240,9 +240,11 @@ def forward(model: ToyModel, tokens: np.ndarray) -> Tensor:
         v = _split_heads(_linear(h, layer, "w_v"), batch, seq, cfg)
         q = ad.rope(q, cos, sin)
         k = ad.rope(k, cos, sin)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), inv_sqrt_hd)
-        scores = ad.add(scores, mask)
-        mixed = ad.matmul(ad.softmax(scores), v)
+        # One fused node scales, masks and normalizes the raw scores in a
+        # single (batch, head, seq, seq) buffer: per layer the graph keeps
+        # only the scores and the probabilities at that size.
+        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+        mixed = ad.matmul(ad.softmax(scores, inv_sqrt_hd, mask), v)
         mixed = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (batch, seq, cfg.hidden_dim))
         x = ad.add(x, _linear(mixed, layer, "w_o"))
 

@@ -21,7 +21,7 @@ import json
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -228,27 +228,6 @@ class StageRecord:
     loss_curve: list[float] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "layer_increment": self.layer_increment,
-            "cumulative_layers": self.cumulative_layers,
-            "trainable_params": self.trainable_params,
-            "frozen_params": self.frozen_params,
-            "adapter_params": self.adapter_params,
-            "simulated_bytes": self.simulated_bytes,
-            "steps": self.steps,
-            "tokens": self.tokens,
-            "flops": self.flops,
-            "final_train_loss": self.final_train_loss,
-            "val_loss": self.val_loss,
-            "val_ppl": self.val_ppl,
-            # wall_seconds deliberately not serialized: ledgers from
-            # identical runs must be byte-identical.
-            "loss_curve": self.loss_curve,
-            "events": self.events,
-        }
-
 
 @dataclass
 class RunLedger:
@@ -271,8 +250,12 @@ class RunLedger:
         return sum(s.flops for s in self.stages)
 
     def to_dict(self) -> dict:
+        stages = [asdict(s) for s in self.stages]
+        for stage in stages:
+            # Not serialized: ledgers from identical runs must be byte-identical.
+            del stage["wall_seconds"]
         return {
-            "stages": [s.to_dict() for s in self.stages],
+            "stages": stages,
             "peak_simulated_bytes": self.peak_simulated_bytes,
             "total_steps": self.total_steps,
             "total_tokens": self.total_tokens,

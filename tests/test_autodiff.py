@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from stagegrow.autodiff import (NonFiniteError, Tensor, add, cross_entropy,
                                 sum_all, transpose)
 from stagegrow.data import TokenStream, perplexity
 from stagegrow.growth import AdapterSpec, attach_adapters, freeze_layers
-from stagegrow.model import (ModelConfig, build_model, forward,
+from stagegrow.model import (ModelConfig, build_model, causal_mask, forward,
                              named_parameters, trainable_parameters)
 
 
@@ -118,6 +119,14 @@ def test_grad_softmax(seed):
     assert report.passed, report
 
 
+def test_grad_softmax_scaled_masked():
+    rng = np.random.default_rng(11)
+    mask = causal_mask(5, np.float64)
+    wsum = weighter(np.random.default_rng(1011), (2, 5, 5))
+    report = grad_check(lambda t: wsum(softmax(t, 0.37, mask)), leaf(rng, 2, 5, 5))
+    assert report.passed, report
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_grad_rms_norm(seed):
     rng = np.random.default_rng(seed)
@@ -190,6 +199,57 @@ def test_grad_composed_block(seed):
 def test_softmax_uniform_on_zeros():
     y = softmax(Tensor(np.zeros((2, 4))))
     assert np.array_equal(y.data, np.full((2, 4), 0.25))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seq", [4, 64, 256])
+def test_fused_softmax_is_bit_identical_to_scale_add_softmax(dtype, seq):
+    rng = np.random.default_rng(seq)
+    shape = (2, 3, seq, seq)
+    data = (rng.standard_normal(shape) * 4.0).astype(dtype)
+    w = Tensor(rng.standard_normal(shape).astype(dtype))
+    s = 1.0 / math.sqrt(6.0)  # a python float, as the model passes
+    mask = causal_mask(seq, dtype)
+    x_fused = Tensor(data.copy(), requires_grad=True)
+    x_chain = Tensor(data.copy(), requires_grad=True)
+    fused = softmax(x_fused, s, mask)
+    chain = softmax(add(scale(x_chain, s), mask))
+    assert fused.dtype == dtype
+    assert np.array_equal(fused.data, chain.data)
+    # Both equal the max-subtracted reference written out in numpy.
+    z = data * s + mask
+    ex = np.exp(z - z.max(axis=-1, keepdims=True))
+    assert np.array_equal(fused.data, ex / ex.sum(axis=-1, keepdims=True))
+    sum_all(mul(fused, w)).backward()
+    sum_all(mul(chain, w)).backward()
+    assert x_fused.grad.dtype == dtype
+    assert np.array_equal(x_fused.grad, x_chain.grad)
+
+
+def test_fused_softmax_causal_rows():
+    seq = 7
+    x = Tensor(np.random.default_rng(2).standard_normal((2, 3, seq, seq)) * 10.0)
+    y = softmax(x, 0.37, causal_mask(seq, np.float64)).data
+    above = np.triu_indices(seq, k=1)
+    assert np.all(y[..., above[0], above[1]] == 0.0)
+    assert np.all(y[..., np.arange(seq), np.arange(seq)] > 0.0)
+    assert y.sum(axis=-1) == pytest.approx(np.ones((2, 3, seq)), abs=1e-12)
+
+
+def test_fused_softmax_keeps_the_probe_when_overflow_is_possible():
+    huge = np.array([[3e38, -3e38, 0.0]], dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # |scale| <= 1 and a small finite mask: huge finite scores give
+        # finite probabilities (-3e38 - 3e38 overflows only to exp's 0).
+        y = softmax(Tensor(huge), 1.0, np.array([0.0, 0.0, -1e9], dtype=np.float32))
+        assert np.array_equal(y.data, np.array([[1.0, 0.0, 0.0]], dtype=np.float32))
+        # A scale above 1 overflows the scores to inf: inf - inf is nan.
+        with pytest.raises(NonFiniteError):
+            softmax(Tensor(huge), 2.0)
+        # So does a mask too large to add safely to every finite score.
+        with pytest.raises(NonFiniteError):
+            softmax(Tensor(np.full((1, 2), -3e38, dtype=np.float32)), 1.0,
+                    np.full(2, -3e38, dtype=np.float32))
 
 
 def test_rms_norm_of_zeros_is_zero():
@@ -466,7 +526,8 @@ def test_no_grad_records_nothing():
     theta = rng.standard_normal((4, 6))
     with no_grad():
         outs = [add(x, x), mul(x, x), scale(x, 2.0), matmul(x, w), silu(x),
-                softmax(x), rms_norm(x, leaf(rng, 6)),
+                softmax(x), softmax(x, 0.5, np.zeros((4, 6))),
+                rms_norm(x, leaf(rng, 6)),
                 embedding(table, np.array([1, 2])),
                 cross_entropy(x, np.zeros((2, 4), dtype=np.int64)),
                 reshape(x, (8, 6)), transpose(x),

@@ -249,9 +249,19 @@ def test_forward_matmul_flops_follow_the_benchmark_contract(monkeypatch):
         calls.append((name, b.data.ndim, 2 * out.data.size * a.data.shape[-1]))
         return out
 
+    # The tracer times softmax the same way, by attribute: one call a layer.
+    softmax_inputs = []
+    orig_softmax = autodiff.softmax
+
+    def traced_softmax(*args, **kwargs):
+        softmax_inputs.append(args[0].shape)
+        return orig_softmax(*args, **kwargs)
+
     monkeypatch.setattr(autodiff, "matmul", traced)
+    monkeypatch.setattr(autodiff, "softmax", traced_softmax)
     tokens = np.random.default_rng(0).integers(0, 256, size=(batch, seq))
     forward(model, tokens)
+    assert softmax_inputs == [(batch, cfg.head_count, seq, seq)] * cfg.layer_count
 
     per_token = 2 * cfg.vocab_size * d + 3 * (24 * d * d + 4 * seq * d) + 2 * 38 * rank * d
     assert sum(flops for _, _, flops in calls) == per_token * batch * seq
@@ -263,3 +273,28 @@ def test_forward_matmul_flops_follow_the_benchmark_contract(monkeypatch):
     assert len(weights) == len(calls) - len(core)
     assert all(name is not None for name, _, _ in weights), weights
     assert sum(".adapters." in name for name, _, _ in weights) == 2 * 2 * 7
+
+
+def test_attention_records_two_score_sized_nodes_per_layer(monkeypatch):
+    # Scale, mask and softmax are one node, so the graph of a layer holds
+    # only two (batch, head, seq, seq) arrays: the scores and the
+    # probabilities.  Another node at that size would save one more.
+    cfg = small_config(layer_count=3)
+    batch, seq = 2, 16  # seq != head_dim, so no other node has this shape
+    model = build_model(cfg, seed=0)
+    freeze_layers(model, [0, 1])
+    attach_adapters(model, [0, 1], AdapterSpec(rank=4), seed=1)
+    made = []
+    orig = autodiff._node
+
+    def recording(data, parents, op, checked=True):
+        out = orig(data, parents, op, checked)
+        made.append((op, out.data.shape, out.requires_grad))
+        return out
+
+    monkeypatch.setattr(autodiff, "_node", recording)
+    tokens = np.random.default_rng(0).integers(0, 256, size=(batch, seq))
+    forward(model, tokens)
+    square = [(op, grad) for op, shape, grad in made
+              if shape == (batch, cfg.head_count, seq, seq)]
+    assert square == [("matmul", True), ("softmax", True)] * cfg.layer_count
