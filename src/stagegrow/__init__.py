@@ -8,11 +8,10 @@ measured censuses reconcile with the planning formulas.
 from .memory import (MemoryEstimate, ModelShape, StageMemory, adapter_params,
                      embedding_params, gigabytes, layer_params,
                      plan_peak_bytes, stage_state_bytes, vanilla_state_bytes)
-from .planner import (BudgetError, FlopsBudget, InstanceTooLargeError,
-                      PlanInfeasibleError, StagePlan, brute_force_plan,
-                      equal_memory_relaxation, flops_staged, flops_vanilla,
-                      solve_exact, solve_rounded, split_steps, stage_flops,
-                      stage_param_counts, token_budget)
+from .planner import (BudgetError, FlopsBudget, PlanInfeasibleError,
+                      StagePlan, equal_memory_relaxation, flops_staged,
+                      flops_vanilla, solve_exact, solve_rounded, split_steps,
+                      stage_flops, stage_param_counts, token_budget)
 from .autodiff import GradCheckReport, NonFiniteError, Tensor, grad_check
 from .model import (ModelConfig, ParamCounts, ToyModel, build_model,
                     count_params, forward, named_parameters, param_counts,

@@ -11,14 +11,15 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import data as data_lib
 from . import memory as memory_lib
 from . import planner as planner_lib
-from .growth import GrowthError, INITS, POSITIONS
+from .growth import POSITIONS
 from .memory import ModelShape, format_gb
 from .model import ModelConfig
 from .planner import (BudgetError, PlanInfeasibleError, StagePlan,
@@ -31,9 +32,24 @@ EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_DIVERGED = 4
 
+SOLVERS = {"exact": solve_exact, "rounded": solve_rounded}
+
 
 class ConfigError(ValueError):
     """Malformed run configuration; message carries the JSON path."""
+
+
+@dataclass(frozen=True)
+class EvalOptions:
+    """How a perplexity pass batches its windows; max_windows None = all."""
+
+    batch_size: int = 8
+    max_windows: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1 or (self.max_windows is not None
+                                   and self.max_windows < 1):
+            raise ValueError("batch_size and max_windows must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +67,61 @@ def _check_keys(obj: dict, path: str, allowed: set[str], required: set[str]) -> 
         raise ConfigError(f"{path}: missing required field(s) {sorted(missing)}")
 
 
-def load_run_config(path: str | Path) -> dict:
-    """Parse and validate a training config file; returns the raw dict."""
+def _value(hint, value):
+    """`value` as a field typed `hint` holds it; TypeError if it does not fit.
+
+    JSON types must match exactly (a bool is not an int), except that an
+    int widens to a float field, which takes finite values only; `X | None`
+    also takes null and a tuple field takes a list of the tuple's length.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if value is None else _value(args[0], value)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            raise TypeError
+        return tuple(map(_value, args, value))
+    if hint is float:
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise TypeError
+        return float(value)
+    if type(value) is not hint:
+        raise TypeError
+    return value
+
+
+def _section(cls, obj, path: str, **given):
+    """Build dataclass `cls` from the JSON object `obj` found at `path`.
+
+    The allowed keys, required keys, defaults and types are those of
+    `cls`'s fields; fields passed in `given` are not read from the JSON.
+    """
+    own = [f for f in fields(cls) if f.name not in given]
+    _check_keys(obj, path, {f.name for f in own},
+                {f.name for f in own if f.default is MISSING})
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, value in obj.items():
+        try:
+            values[key] = _value(hints[key], value)
+        except TypeError:
+            hint = hints[key]
+            name = hint.__name__ if type(hint) is type else str(hint)
+            raise ConfigError(f"{path}.{key}: expected {name}, "
+                              f"got {json.dumps(value)}") from None
+    try:
+        return cls(**values, **given)
+    except ValueError as exc:  # the dataclass's own checks, GrowthError too
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_run_config(path: str | Path) -> tuple[
+        dict, StagePlan, ModelConfig, TrainConfig, GrowthOptions, EvalOptions]:
+    """Parse and validate a training config file; checks the corpus exists.
+
+    Returns the JSON object as given (with `corpus` as a list) and the
+    typed parts.  Nothing is written.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -68,112 +137,48 @@ def load_run_config(path: str | Path) -> dict:
         raise ConfigError(f"$.version: unsupported version {cfg['version']!r}")
     if not isinstance(cfg["run_dir"], str) or not cfg["run_dir"]:
         raise ConfigError("$.run_dir: expected a non-empty string")
-    corpus = cfg["corpus"]
-    if isinstance(corpus, str):
-        corpus = [corpus]
+    corpus = [cfg["corpus"]] if isinstance(cfg["corpus"], str) else cfg["corpus"]
     if (not isinstance(corpus, list) or not corpus
             or not all(isinstance(p, str) for p in corpus)):
         raise ConfigError("$.corpus: expected a path or non-empty list of paths")
     cfg["corpus"] = corpus
-
-    _check_keys(cfg["model"], "$.model",
-                {"hidden_dim", "head_count", "vocab_size", "max_seq_len",
-                 "tied_embeddings", "rope_base"},
-                {"hidden_dim", "head_count"})
-    plan = cfg["plan"]
-    _check_keys(plan, "$.plan", {"increments", "layers", "stages", "mode"}, set())
-    if "increments" in plan:
-        if set(plan) - {"increments"}:
-            raise ConfigError("$.plan: increments excludes layers/stages/mode")
-        if (not isinstance(plan["increments"], list) or not plan["increments"]
-                or not all(isinstance(n, int) and n >= 1 for n in plan["increments"])):
-            raise ConfigError("$.plan.increments: expected a list of ints >= 1")
-    else:
-        for key in ("layers", "stages"):
-            if not isinstance(plan.get(key), int):
-                raise ConfigError(f"$.plan.{key}: required int when increments absent")
-        if plan.get("mode", "exact") not in ("exact", "rounded"):
-            raise ConfigError("$.plan.mode: expected 'exact' or 'rounded'")
-
-    _check_keys(cfg.get("growth", {}), "$.growth",
-                {"position", "init", "fpi", "adapter_rank", "adapter_scale"}, set())
-    _check_keys(cfg["train"], "$.train",
-                {"total_steps", "peak_lr", "warmup_steps", "restart_warmup_steps",
-                 "batch_size", "seq_len", "growth_fraction",
-                 "adapter_reset_interval", "seed", "betas", "eps",
-                 "weight_decay", "grad_clip", "min_lr_fraction"},
-                {"total_steps"})
-    _check_keys(cfg.get("eval", {}), "$.eval", {"batch_size", "max_windows"}, set())
     vf = cfg.get("validation_fraction", 0.1)
     if not isinstance(vf, (int, float)) or not 0.0 < vf < 1.0:
         raise ConfigError("$.validation_fraction: expected a number in (0, 1)")
-    return cfg
 
+    growth = _section(GrowthOptions, cfg.get("growth", {}), "$.growth")
+    train = _section(TrainConfig, cfg["train"], "$.train")
+    eval_opts = _section(EvalOptions, cfg.get("eval", {}), "$.eval")
+    # The plan may need hidden_dim to solve; layer_count then comes from it.
+    model = _section(ModelConfig, cfg["model"], "$.model", layer_count=1)
 
-def _build_parts(cfg: dict):
-    """Turn a validated config dict into typed pieces (no I/O)."""
-    growth_cfg = cfg.get("growth", {})
-    try:
-        growth = GrowthOptions(
-            position=growth_cfg.get("position", "upper"),
-            init=growth_cfg.get("init", "mean"),
-            fpi=bool(growth_cfg.get("fpi", False)),
-            adapter_rank=int(growth_cfg.get("adapter_rank", 8)),
-            adapter_scale=growth_cfg.get("adapter_scale"))
-        if growth.position not in POSITIONS:
-            raise ConfigError(f"$.growth.position: expected one of {POSITIONS}")
-        if growth.init not in INITS:
-            raise ConfigError(f"$.growth.init: expected one of {INITS}")
+    plan_cfg = cfg["plan"]
+    _check_keys(plan_cfg, "$.plan", {"increments", "layers", "stages", "mode"}, set())
+    if "increments" in plan_cfg:
+        inc = plan_cfg["increments"]
+        if set(plan_cfg) - {"increments"}:
+            raise ConfigError("$.plan: increments excludes layers/stages/mode")
+        if (not isinstance(inc, list) or not inc
+                or not all(isinstance(n, int) and n >= 1 for n in inc)):
+            raise ConfigError("$.plan.increments: expected a list of ints >= 1")
+        plan = StagePlan(tuple(inc))
+    else:
+        for key in ("layers", "stages"):
+            if not isinstance(plan_cfg.get(key), int):
+                raise ConfigError(f"$.plan.{key}: required int when increments absent")
+        mode = plan_cfg.get("mode", "exact")
+        if mode not in SOLVERS:
+            raise ConfigError("$.plan.mode: expected 'exact' or 'rounded'")
+        shape = ModelShape(hidden_dim=model.hidden_dim,
+                           layer_count=plan_cfg["layers"],
+                           adapter_rank=growth.adapter_rank)
+        plan = SOLVERS[mode](plan_cfg["layers"], plan_cfg["stages"], shape)
+    model = replace(model, layer_count=plan.increments[0])
 
-        plan_cfg = cfg["plan"]
-        model_cfg = cfg["model"]
-        if "increments" in plan_cfg:
-            plan = StagePlan(tuple(plan_cfg["increments"]))
-        else:
-            shape = ModelShape(hidden_dim=model_cfg["hidden_dim"],
-                               layer_count=plan_cfg["layers"],
-                               adapter_rank=growth.adapter_rank)
-            solver = solve_exact if plan_cfg.get("mode", "exact") == "exact" else solve_rounded
-            plan = solver(plan_cfg["layers"], plan_cfg["stages"], shape)
-
-        model = ModelConfig(
-            hidden_dim=model_cfg["hidden_dim"],
-            layer_count=plan.increments[0],
-            head_count=model_cfg["head_count"],
-            vocab_size=model_cfg.get("vocab_size", 256),
-            max_seq_len=model_cfg.get("max_seq_len", 512),
-            tied_embeddings=bool(model_cfg.get("tied_embeddings", False)),
-            rope_base=float(model_cfg.get("rope_base", 10000.0)))
-
-        train_cfg = cfg["train"]
-        betas = train_cfg.get("betas", [0.9, 0.95])
-        if (not isinstance(betas, (list, tuple)) or len(betas) != 2
-                or not all(isinstance(b, (int, float)) for b in betas)):
-            raise ConfigError("$.train.betas: expected two numbers")
-        train = TrainConfig(
-            total_steps=train_cfg["total_steps"],
-            peak_lr=float(train_cfg.get("peak_lr", 3e-3)),
-            warmup_steps=int(train_cfg.get("warmup_steps", 0)),
-            restart_warmup_steps=int(train_cfg.get("restart_warmup_steps", 0)),
-            batch_size=int(train_cfg.get("batch_size", 8)),
-            seq_len=int(train_cfg.get("seq_len", 64)),
-            growth_fraction=float(train_cfg.get("growth_fraction", 0.75)),
-            adapter_reset_interval=train_cfg.get("adapter_reset_interval"),
-            seed=int(train_cfg.get("seed", 0)),
-            betas=(float(betas[0]), float(betas[1])),
-            eps=float(train_cfg.get("eps", 1e-8)),
-            weight_decay=float(train_cfg.get("weight_decay", 0.1)),
-            grad_clip=float(train_cfg.get("grad_clip", 1.0)),
-            min_lr_fraction=float(train_cfg.get("min_lr_fraction", 0.1)))
-    except (ValueError, GrowthError) as exc:
-        if isinstance(exc, (ConfigError, PlanInfeasibleError)):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-    eval_cfg = cfg.get("eval", {})
-    eval_opts = {"batch_size": int(eval_cfg.get("batch_size", 8)),
-                 "max_windows": eval_cfg.get("max_windows")}
-    return plan, model, train, growth, eval_opts
+    missing = [p for p in corpus if not Path(p).is_file()]
+    if missing:
+        raise ConfigError(f"corpus file(s) not found: {missing}")
+    return cfg, plan, model, train, growth, eval_opts
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +195,12 @@ _SVG_COLORS = {
 
 def memory_chart_svg(estimate: memory_lib.MemoryEstimate, vanilla_bytes: int) -> str:
     """Deterministic stacked-bar SVG: one bar per stage plus a vanilla bar."""
-    bars = [(f"stage {s.stage}", s) for s in estimate.stages]
-    n = len(bars) + 1
+    bars = [(f"stage {s.stage}", s.total_bytes,
+             [(getattr(s, name), color) for name, color in _SVG_COLORS.items()])
+            for s in estimate.stages]
+    bars.append(("vanilla", vanilla_bytes, [(vanilla_bytes, "#c85a5a")]))
     width, height, pad, gap = 520, 300, 46, 18
-    bar_w = (width - 2 * pad - (n - 1) * gap) / n
+    bar_w = (width - 2 * pad - (len(bars) - 1) * gap) / len(bars)
     top = max(vanilla_bytes, estimate.peak_bytes)
     scale = (height - 2 * pad) / top if top else 1.0
 
@@ -201,10 +208,9 @@ def memory_chart_svg(estimate: memory_lib.MemoryEstimate, vanilla_bytes: int) ->
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="#ffffff"/>']
     x = float(pad)
-    for label, stage in bars:
+    for label, total, segments in bars:
         y = height - pad
-        for field_name, color in _SVG_COLORS.items():
-            value = getattr(stage, field_name)
+        for value, color in segments:
             if value <= 0:
                 continue
             h = value * scale
@@ -217,19 +223,8 @@ def memory_chart_svg(estimate: memory_lib.MemoryEstimate, vanilla_bytes: int) ->
             f'font-size="11" text-anchor="middle">{label}</text>')
         parts.append(
             f'<text x="{x + bar_w / 2:.1f}" y="{y - 5:.1f}" font-size="10" '
-            f'text-anchor="middle">{memory_lib.gigabytes(stage.total_bytes):.2f}G</text>')
+            f'text-anchor="middle">{memory_lib.gigabytes(total):.2f}G</text>')
         x += bar_w + gap
-    h = vanilla_bytes * scale
-    y = height - pad - h
-    parts.append(
-        f'<rect x="{x:.1f}" y="{y:.1f}" width="{bar_w:.1f}" height="{h:.1f}" '
-        f'fill="#c85a5a"/>')
-    parts.append(
-        f'<text x="{x + bar_w / 2:.1f}" y="{height - pad + 14}" font-size="11" '
-        f'text-anchor="middle">vanilla</text>')
-    parts.append(
-        f'<text x="{x + bar_w / 2:.1f}" y="{y - 5:.1f}" font-size="10" '
-        f'text-anchor="middle">{memory_lib.gigabytes(vanilla_bytes):.2f}G</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -262,8 +257,7 @@ def _write_plan_reports(out_dir: Path, report: dict,
 def cmd_plan(args) -> int:
     shape = ModelShape(hidden_dim=args.hidden, layer_count=args.layers,
                        adapter_rank=args.rank)
-    solver = solve_exact if args.mode == "exact" else solve_rounded
-    plan = solver(args.layers, args.stages, shape)
+    plan = SOLVERS[args.mode](args.layers, args.stages, shape)
     estimate = memory_lib.plan_peak_bytes(plan, shape, args.embedding_params)
     vanilla = memory_lib.vanilla_state_bytes(args.layers, args.hidden,
                                              args.embedding_params)
@@ -320,11 +314,7 @@ def cmd_plan(args) -> int:
             "total_steps": budget.total_steps,
             "total_tokens": budget.total_tokens,
             "total_flops": budget.total_flops,
-            "per_stage": [{"stage": b.stage, "steps": b.steps,
-                           "tokens": b.tokens, "flops": b.flops,
-                           "trainable_params": b.trainable_params,
-                           "frozen_params": b.frozen_params}
-                          for b in budget.per_stage],
+            "per_stage": [asdict(b) for b in budget.per_stage],
         }
 
     _write_plan_reports(Path(args.out), report, estimate, vanilla)
@@ -333,15 +323,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg, plan, model_cfg, train_cfg, growth, eval_opts = load_run_config(args.config)
     if args.run_dir is not None:
         cfg["run_dir"] = args.run_dir
-    plan, model_cfg, train_cfg, growth, eval_opts = _build_parts(cfg)
-
-    # Validate inputs before touching the filesystem.
-    missing = [p for p in cfg["corpus"] if not Path(p).is_file()]
-    if missing:
-        raise ConfigError(f"corpus file(s) not found: {missing}")
     run_dir = Path(cfg["run_dir"])
     if run_dir.exists():
         raise ConfigError(f"run_dir already exists: {run_dir}")
@@ -358,8 +342,8 @@ def cmd_train(args) -> int:
 
     result = run_schedule(
         model_cfg, plan, train_cfg, growth, train_stream, val_stream,
-        eval_batch_size=eval_opts["batch_size"],
-        eval_max_windows=eval_opts["max_windows"],
+        eval_batch_size=eval_opts.batch_size,
+        eval_max_windows=eval_opts.max_windows,
         out_dir=run_dir,
         checkpoint_extra={"validation_fraction": vf})
 
@@ -383,14 +367,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, manifest = ckpt.load_checkpoint(args.checkpoint)
     extra = manifest.get("extra", {})
-    vf = args.validation_fraction
-    if vf is None:
-        vf = extra.get("validation_fraction", 0.1)
-    seq_len = args.seq_len if args.seq_len is not None else extra.get("seq_len", 64)
-    batch_size = (args.batch_size if args.batch_size is not None
-                  else extra.get("eval_batch_size", 8))
-    max_windows = (args.max_windows if args.max_windows is not None
-                   else extra.get("eval_max_windows"))
+
+    def setting(flag, key, default):  # the flag, else the checkpoint's record
+        return flag if flag is not None else extra.get(key, default)
+
+    vf = setting(args.validation_fraction, "validation_fraction", 0.1)
+    seq_len = setting(args.seq_len, "seq_len", TrainConfig.seq_len)
+    opts = EvalOptions(
+        setting(args.batch_size, "eval_batch_size", EvalOptions.batch_size),
+        setting(args.max_windows, "eval_max_windows", None))
 
     _, val_stream = data_lib.load_corpus(args.corpus, vf)
     recorded = extra.get("corpus_digest")
@@ -399,7 +384,8 @@ def cmd_eval(args) -> int:
               f"checkpoint's training corpus {recorded[:12]}", file=sys.stderr)
 
     report = data_lib.perplexity(model, val_stream, seq_len,
-                                 batch_size=batch_size, max_windows=max_windows)
+                                 batch_size=opts.batch_size,
+                                 max_windows=opts.max_windows)
     payload = {"split": report.split, "tokens": report.tokens,
                "loss": report.loss, "ppl": report.ppl,
                "checkpoint": str(args.checkpoint),
@@ -411,21 +397,19 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+# Each cell: (label, GrowthOptions overrides, TrainConfig overrides).
 ABLATION_CELLS = {
-    "position": [("upper", {"position": "upper"}),
-                 ("intermediate", {"position": "intermediate"}),
-                 ("lower", {"position": "lower"}),
-                 ("random", {"position": "random"})],
-    "init": [("copy", {"init": "copy", "fpi": False}),
-             ("copy+fpi", {"init": "copy", "fpi": True}),
-             ("mean", {"init": "mean", "fpi": False}),
-             ("mean+fpi", {"init": "mean", "fpi": True})],
-    "timing": [("25%", {"growth_fraction": 0.25}),
-               ("50%", {"growth_fraction": 0.50}),
-               ("75%", {"growth_fraction": 0.75}),
-               ("100%", {"growth_fraction": 1.00})],
-    "pet": [("w/ PET", {"adapters": True}),
-            ("w/o PET", {"adapters": False})],
+    "position": [(p, {"position": p}, {}) for p in POSITIONS],
+    "init": [("copy", {"init": "copy", "fpi": False}, {}),
+             ("copy+fpi", {"init": "copy", "fpi": True}, {}),
+             ("mean", {"init": "mean", "fpi": False}, {}),
+             ("mean+fpi", {"init": "mean", "fpi": True}, {})],
+    "timing": [("25%", {}, {"growth_fraction": 0.25}),
+               ("50%", {}, {"growth_fraction": 0.50}),
+               ("75%", {}, {"growth_fraction": 0.75}),
+               ("100%", {}, {"growth_fraction": 1.00})],
+    "pet": [("w/ PET", {}, {}),
+            ("w/o PET", {"adapter_rank": 0}, {})],
 }
 
 
@@ -435,16 +419,11 @@ def _cell_slug(label: str) -> str:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_run_config(args.config)
-    plan, model_cfg, train_cfg, growth, eval_opts = _build_parts(cfg)
+    cfg, plan, model_cfg, train_cfg, growth, eval_opts = load_run_config(args.config)
     if plan.stage_count < 2:
         raise ConfigError("ablations need a plan with at least two stages")
     if args.axis == "pet" and growth.adapter_rank < 1:
         raise ConfigError("pet axis needs growth.adapter_rank >= 1 in the config")
-
-    missing = [p for p in cfg["corpus"] if not Path(p).is_file()]
-    if missing:
-        raise ConfigError(f"corpus file(s) not found: {missing}")
     root = Path(args.out) if args.out else Path(cfg["run_dir"] + f"_ablate_{args.axis}")
     if root.exists():
         raise ConfigError(f"output directory already exists: {root}")
@@ -453,22 +432,12 @@ def cmd_ablate(args) -> int:
     train_stream, val_stream = data_lib.load_corpus(cfg["corpus"], vf)
 
     rows = []
-    for label, overrides in ABLATION_CELLS[args.axis]:
-        cell_growth, cell_train = growth, train_cfg
-        if "position" in overrides:
-            cell_growth = replace(cell_growth, position=overrides["position"])
-        if "init" in overrides:
-            cell_growth = replace(cell_growth, init=overrides["init"],
-                                  fpi=overrides["fpi"])
-        if "adapters" in overrides and not overrides["adapters"]:
-            cell_growth = replace(cell_growth, adapter_rank=0)
-        if "growth_fraction" in overrides:
-            cell_train = replace(cell_train,
-                                 growth_fraction=overrides["growth_fraction"])
+    for label, growth_overrides, train_overrides in ABLATION_CELLS[args.axis]:
         result = run_schedule(
-            model_cfg, plan, cell_train, cell_growth, train_stream, val_stream,
-            eval_batch_size=eval_opts["batch_size"],
-            eval_max_windows=eval_opts["max_windows"],
+            model_cfg, plan, replace(train_cfg, **train_overrides),
+            replace(growth, **growth_overrides), train_stream, val_stream,
+            eval_batch_size=eval_opts.batch_size,
+            eval_max_windows=eval_opts.max_windows,
             out_dir=root / "cells" / _cell_slug(label))
         last = result.ledger.stages[-1]
         rows.append({
@@ -486,10 +455,7 @@ def cmd_ablate(args) -> int:
     (root / "results.json").write_text(json.dumps(
         {"axis": args.axis, "cells": rows}, indent=2, sort_keys=True) + "\n")
     with open(root / "results.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["cell", "val_loss", "val_ppl",
-                                                "peak_simulated_bytes",
-                                                "total_flops",
-                                                "final_train_loss"])
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -517,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int, required=True)
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--rank", type=int, default=0)
-    p.add_argument("--mode", choices=["exact", "rounded"], default="exact")
+    p.add_argument("--mode", choices=sorted(SOLVERS), default="exact")
     p.add_argument("--embedding-params", type=int, default=0)
     p.add_argument("--gpu-budget-bytes", type=float, default=None)
     p.add_argument("--flops-budget", type=float, default=None)
@@ -561,8 +527,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, data_lib.CorpusError, ckpt.CheckpointError,
-            GrowthError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

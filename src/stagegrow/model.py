@@ -44,6 +44,8 @@ class ModelConfig:
     rope_base: float = 10000.0
 
     def __post_init__(self) -> None:
+        if self.hidden_dim < 1 or self.head_count < 1:
+            raise ValueError("hidden_dim and head_count must be >= 1")
         if self.hidden_dim % 3 != 0:
             raise ValueError(f"hidden_dim must be divisible by 3, got {self.hidden_dim}")
         if self.hidden_dim % self.head_count != 0:

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .memory import ModelShape, adapter_params, layer_params
+from .memory import (FROZEN_BYTES, TRAINABLE_BYTES, ModelShape, adapter_params,
+                     layer_params)
 
 FLOPS_PER_TRAINABLE_PARAM_TOKEN = 6
 FLOPS_PER_FROZEN_PARAM_TOKEN = 2
@@ -39,10 +39,6 @@ FLOPS_PER_FROZEN_PARAM_TOKEN = 2
 
 class PlanInfeasibleError(ValueError):
     """No valid plan exists for the requested layer/stage counts."""
-
-
-class InstanceTooLargeError(ValueError):
-    """Brute-force enumeration would exceed its composition limit."""
 
 
 class BudgetError(ValueError):
@@ -88,9 +84,10 @@ class StagePlan:
 
 
 def _byte_coeffs(shape: ModelShape) -> tuple[int, int]:
+    """(c1, c2) of bytes(i) = c1 n_i + c2 N_{i-1}, from stagegrow.memory's rates."""
     p = layer_params(shape.hidden_dim)
     e = adapter_params(shape.hidden_dim, shape.adapter_rank)
-    return 16 * p, 2 * p + 16 * e
+    return TRAINABLE_BYTES * p, FROZEN_BYTES * p + TRAINABLE_BYTES * e
 
 
 def _check_targets(layer_target: int, stage_count: int) -> None:
@@ -170,35 +167,6 @@ def solve_exact(layer_target: int, stage_count: int, shape: ModelShape) -> Stage
     return plan
 
 
-def brute_force_plan(layer_target: int, stage_count: int, shape: ModelShape,
-                     limit: int = 2_000_000) -> tuple[StagePlan, int]:
-    """Enumerate every composition; returns (best plan, its peak bytes).
-
-    Slow-path oracle for validating solve_exact.  Ties on the peak break by
-    lexicographically smaller later-stage bytes, then by larger early
-    increments; with the integer coefficients here ties cannot actually
-    occur between distinct plans, but the rule keeps the choice total.
-    """
-    _check_targets(layer_target, stage_count)
-    n_compositions = comb(layer_target - 1, stage_count - 1)
-    if n_compositions > limit:
-        raise InstanceTooLargeError(
-            f"{n_compositions} compositions exceeds limit {limit}")
-    c1, c2 = _byte_coeffs(shape)
-    best_key = None
-    best_plan = None
-    for cuts in itertools.combinations(range(1, layer_target), stage_count - 1):
-        cum = (*cuts, layer_target)
-        inc = tuple(b - a for a, b in zip((0, *cuts), cum))
-        per = tuple(c1 * n + c2 * prior
-                    for n, prior in zip(inc, (0, *cum[:-1])))
-        key = (max(per), tuple(reversed(per)), tuple(-n for n in inc))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_plan = inc
-    return StagePlan(best_plan), best_key[0]
-
-
 def equal_memory_relaxation(layer_target: int, stage_count: int,
                             shape: ModelShape) -> list[float]:
     """Continuous stage sizes that equalize per-stage bytes exactly.
@@ -208,11 +176,10 @@ def equal_memory_relaxation(layer_target: int, stage_count: int,
     never match stage 1 at positive size).
     """
     _check_targets(layer_target, stage_count)
-    p = layer_params(shape.hidden_dim)
-    e = adapter_params(shape.hidden_dim, shape.adapter_rank)
     if stage_count == 1:
         return [float(layer_target)]
-    q = (14 * p - 16 * e) / (16 * p)
+    c1, c2 = _byte_coeffs(shape)
+    q = (c1 - c2) / c1  # (14P - 16E) / 16P
     if q <= 0.0:
         raise PlanInfeasibleError(
             "equal-memory ratio is non-positive; adapter cost swamps the "

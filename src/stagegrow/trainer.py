@@ -31,9 +31,9 @@ from . import checkpoint as ckpt
 from . import data as data_lib
 from . import model as model_lib
 from .autodiff import NonFiniteError, Tensor
-from .growth import (AdapterSpec, GrowthSpec, adapted_layer_indices,
-                     attach_adapters, freeze_layers, grow, merge_adapters,
-                     new_layer_indices, reset_adapters)
+from .growth import (AdapterSpec, GrowthError, GrowthSpec,
+                     adapted_layer_indices, attach_adapters, freeze_layers,
+                     grow, merge_adapters, new_layer_indices, reset_adapters)
 from .memory import FROZEN_BYTES, TRAINABLE_BYTES
 from .model import ModelConfig, ToyModel, build_model, param_counts
 from .planner import (FLOPS_PER_FROZEN_PARAM_TOKEN,
@@ -95,6 +95,12 @@ class GrowthOptions:
     fpi: bool = False
     adapter_rank: int = 8
     adapter_scale: float | None = None
+
+    def __post_init__(self) -> None:
+        # Check the policy now rather than at the first growth boundary.
+        GrowthSpec(1, position=self.position, init=self.init, seed=0)
+        if self.adapter_rank < 0:
+            raise GrowthError(f"adapter_rank must be >= 0, got {self.adapter_rank}")
 
     def adapter_spec(self) -> AdapterSpec | None:
         if self.adapter_rank == 0:

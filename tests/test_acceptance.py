@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 from conftest import record_line
+from plan_oracle import brute_force_plan
 
 from stagegrow.autodiff import (Tensor, add, cross_entropy, embedding, matmul,
                                 mul, reshape, rms_norm, rope, scale, silu,
@@ -26,9 +27,9 @@ from stagegrow.memory import (ModelShape, embedding_params, layer_params,
                               vanilla_state_bytes)
 from stagegrow.model import (ModelConfig, build_model, forward,
                              named_parameters, param_counts)
-from stagegrow.planner import (StagePlan, brute_force_plan, flops_staged,
-                               flops_vanilla, solve_exact, split_steps,
-                               stage_param_counts, token_budget)
+from stagegrow.planner import (StagePlan, flops_staged, flops_vanilla,
+                               solve_exact, split_steps, stage_param_counts,
+                               token_budget)
 from stagegrow.trainer import GrowthOptions, TrainConfig, run_schedule
 
 

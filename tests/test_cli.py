@@ -1,18 +1,24 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from stagegrow.checkpoint import save_checkpoint
-from stagegrow.cli import main
+from stagegrow.cli import EvalOptions, load_run_config, main
 from stagegrow.model import ModelConfig, build_model
+from stagegrow.planner import StagePlan
+from stagegrow.trainer import GrowthOptions, TrainConfig
 
 
 def run_cli(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+DROP = object()  # a section value that removes the key from the config
 
 
 def write_config(tmp_path, corpus, run_dir, **overrides):
@@ -33,6 +39,7 @@ def write_config(tmp_path, corpus, run_dir, **overrides):
         if key != "plan" and isinstance(value, dict) \
                 and isinstance(cfg.get(key), dict):
             cfg[key].update(value)
+            cfg[key] = {k: v for k, v in cfg[key].items() if v is not DROP}
         else:
             cfg[key] = value
     path = tmp_path / "config.json"
@@ -215,6 +222,34 @@ def test_train_missing_corpus_creates_nothing(capsys, tmp_path):
     ({"plan": {"layers": 4}}, "$.plan.stages"),
     ({"validation_fraction": 1.5}, "validation_fraction"),
     ({"growth": {"position": "sideways"}}, "position"),
+    ({"growth": {"init": "zero"}}, "init"),
+    ({"growth": {"adapter_rank": -1}}, "$.growth"),
+    ({"model": {"head_count": 0}}, "$.model"),
+    ({"model": {"hidden_dim": 48, "layer_count": 3}}, "$.model"),
+    ({"train": {"total_steps": DROP}}, "$.train: missing"),
+    ({"model": {"head_count": DROP}}, "$.model: missing"),
+    ({"eval": {"max_windows": 0}}, "$.eval"),
+    # Wrongly typed values: each is rejected with its JSON path.
+    ({"train": {"total_steps": "8"}}, "$.train.total_steps"),
+    ({"model": {"hidden_dim": "48"}}, "$.model.hidden_dim"),
+    ({"train": {"adapter_reset_interval": "3"}},
+     "$.train.adapter_reset_interval"),
+    ({"eval": {"max_windows": "x"}}, "$.eval.max_windows"),
+    ({"eval": {"batch_size": None}}, "$.eval.batch_size"),
+    ({"growth": {"adapter_scale": "big"}}, "$.growth.adapter_scale"),
+    ({"growth": {"fpi": "no"}}, "$.growth.fpi"),
+    ({"growth": {"adapter_rank": 4.7}}, "$.growth.adapter_rank"),
+    ({"train": {"seed": True}}, "$.train.seed"),
+    ({"train": {"peak_lr": "1e-3"}}, "$.train.peak_lr"),
+    ({"train": {"betas": [0.9]}}, "$.train.betas"),
+    ({"train": {"betas": [0.9, "0.95"]}}, "$.train.betas"),
+    ({"growth": {"fpi": 1}}, "$.growth.fpi"),
+    ({"growth": {"adapter_rank": 8.0}}, "$.growth.adapter_rank"),
+    ({"model": {"tied_embeddings": None}}, "$.model.tied_embeddings"),
+    ({"growth": []}, "$.growth"),
+    ({"train": {"peak_lr": float("nan")}}, "$.train.peak_lr"),
+    ({"train": {"eps": float("inf")}}, "$.train.eps"),
+    ({"growth": {"adapter_scale": 10 ** 400}}, "$.growth.adapter_scale"),
 ])
 def test_train_config_validation(capsys, tmp_path, small_corpus_file,
                                  overrides, fragment):
@@ -224,6 +259,47 @@ def test_train_config_validation(capsys, tmp_path, small_corpus_file,
     assert status == 2
     assert fragment in stderr
     assert not (tmp_path / "run").exists()
+
+
+def test_config_sections_round_trip_to_dataclasses(tmp_path, small_corpus_file):
+    # Every field of every section set away from its default; int literals
+    # for float fields, betas as a JSON list.
+    path = write_config(
+        tmp_path, small_corpus_file, tmp_path / "run",
+        plan={"increments": [3, 1]},
+        model={"hidden_dim": 48, "head_count": 4, "vocab_size": 200,
+               "max_seq_len": 40, "tied_embeddings": True, "rope_base": 500},
+        growth={"position": "lower", "init": "copy", "fpi": True,
+                "adapter_rank": 2, "adapter_scale": 1},
+        train={"total_steps": 9, "peak_lr": 1, "warmup_steps": 2,
+               "restart_warmup_steps": 1, "batch_size": 3, "seq_len": 12,
+               "growth_fraction": 1, "adapter_reset_interval": 5, "seed": 7,
+               "betas": [1, 0.5], "eps": 0, "weight_decay": 0,
+               "grad_clip": 2, "min_lr_fraction": 0.5},
+        eval={"batch_size": 2, "max_windows": 6})
+    _, plan, model, train, growth, eval_opts = load_run_config(path)
+
+    assert plan == StagePlan((3, 1))
+    expected = [
+        ModelConfig(hidden_dim=48, layer_count=3, head_count=4, vocab_size=200,
+                    max_seq_len=40, tied_embeddings=True, rope_base=500.0),
+        GrowthOptions(position="lower", init="copy", fpi=True,
+                      adapter_rank=2, adapter_scale=1.0),
+        TrainConfig(total_steps=9, peak_lr=1.0, warmup_steps=2,
+                    restart_warmup_steps=1, batch_size=3, seq_len=12,
+                    growth_fraction=1.0, adapter_reset_interval=5, seed=7,
+                    betas=(1.0, 0.5), eps=0.0, weight_decay=0.0,
+                    grad_clip=2.0, min_lr_fraction=0.5),
+        EvalOptions(batch_size=2, max_windows=6),
+    ]
+    for got, want in zip((model, growth, train, eval_opts), expected):
+        assert got == want
+        for f in fields(want):
+            value = getattr(got, f.name)
+            assert type(value) is type(getattr(want, f.name)), f.name
+            assert value != f.default, f"{f.name} left at its default"
+            if isinstance(value, tuple):
+                assert all(type(v) is float for v in value), f.name
 
 
 def test_train_missing_config_file(capsys, tmp_path):
@@ -286,6 +362,20 @@ def test_eval_zeroed_readout_is_uniform(capsys, tmp_path, small_corpus_file):
     assert payload["ppl"] == pytest.approx(256.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("flag", [["--max-windows", "0"], ["--batch-size", "0"]])
+def test_eval_rejects_empty_evaluation(capsys, tmp_path, small_corpus_file, flag):
+    model = build_model(ModelConfig(hidden_dim=48, layer_count=1, head_count=4,
+                                    max_seq_len=32), seed=0)
+    save_checkpoint(model, tmp_path / "ck", extra={"seq_len": 16})
+    status, _, stderr = run_cli(
+        capsys, "eval", "--checkpoint", str(tmp_path / "ck"),
+        "--corpus", str(small_corpus_file), *flag,
+        "--out", str(tmp_path / "e.json"))
+    assert status == 2
+    assert ">= 1" in stderr
+    assert not (tmp_path / "e.json").exists()
+
+
 def test_eval_corrupt_checkpoint(capsys, tmp_path, small_corpus_file):
     model = build_model(ModelConfig(hidden_dim=48, layer_count=1, head_count=4),
                         seed=0)
@@ -318,8 +408,10 @@ def test_ablate_pet_axis(capsys, tmp_path, small_corpus_file):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert all(float(r["val_ppl"]) > 0 for r in rows)
-    assert (out / "cells" / "with_pet" / "ledger.json").is_file()
-    assert (out / "cells" / "without_pet" / "ledger.json").is_file()
+    adapters = [json.loads((out / "cells" / cell / "ledger.json").read_text())
+                ["stages"][1]["adapter_params"]
+                for cell in ("with_pet", "without_pet")]
+    assert adapters[0] > 0 and adapters[1] == 0
     assert "w/ PET" in stdout
 
 

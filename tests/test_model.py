@@ -42,6 +42,10 @@ def test_config_validation():
         small_config(vocab_size=0)
     with pytest.raises(ValueError):
         small_config(max_seq_len=0)
+    with pytest.raises(ValueError):
+        small_config(head_count=0)        # not a ZeroDivisionError
+    with pytest.raises(ValueError):
+        small_config(hidden_dim=-6, head_count=1)
 
 
 def test_config_rejects_odd_head_dim():

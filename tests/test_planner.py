@@ -1,12 +1,12 @@
 import pytest
 
+from plan_oracle import InstanceTooLargeError, brute_force_plan
 from stagegrow.memory import ModelShape, plan_peak_bytes
-from stagegrow.planner import (BudgetError, InstanceTooLargeError,
-                               PlanInfeasibleError, StagePlan,
-                               brute_force_plan, equal_memory_relaxation,
-                               flops_staged, flops_vanilla, solve_exact,
-                               solve_rounded, split_steps, stage_flops,
-                               stage_param_counts, token_budget)
+from stagegrow.planner import (BudgetError, PlanInfeasibleError, StagePlan,
+                               equal_memory_relaxation, flops_staged,
+                               flops_vanilla, solve_exact, solve_rounded,
+                               split_steps, stage_flops, stage_param_counts,
+                               token_budget)
 
 SHAPE_1536 = ModelShape(hidden_dim=1536, layer_count=24, adapter_rank=128)
 SHAPE_1600 = ModelShape(hidden_dim=1600, layer_count=12, adapter_rank=128)

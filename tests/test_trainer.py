@@ -9,6 +9,7 @@ from stagegrow import autodiff as ad
 from stagegrow.autodiff import Tensor
 from stagegrow.checkpoint import load_checkpoint
 from stagegrow.data import batch_cycle, load_corpus
+from stagegrow.growth import GrowthError
 from stagegrow.memory import ModelShape, embedding_params, stage_state_bytes
 from stagegrow.model import (ModelConfig, build_model, forward,
                              named_parameters, trainable_parameters)
@@ -193,6 +194,14 @@ def test_train_config_validation():
         train_config(adapter_reset_interval=0)
     assert train_config(growth_fraction=1.0).growth_fraction == 1.0
     assert train_config().batch_tokens == 64
+
+
+@pytest.mark.parametrize("overrides", [
+    {"position": "sideways"}, {"init": "zero"}, {"adapter_rank": -1}])
+def test_growth_options_reject_bad_policy_when_built(overrides):
+    # Caught at construction, not at the first growth boundary.
+    with pytest.raises(GrowthError):
+        GrowthOptions(**overrides)
 
 
 def test_growth_options_adapter_spec():
