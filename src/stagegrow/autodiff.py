@@ -5,16 +5,33 @@ a handful of differentiable ops, and topological-order backpropagation.
 Ops are dtype-generic (float32 for training, float64 for gradient checks)
 with reductions accumulated in float64 where it matters numerically.
 
+Graph bookkeeping is kept apart from values, as PyTorch keeps a tensor
+apart from its grad_fn and saved tensors.  An op output's `Tensor` holds
+its array.  What its consumers link to is a `_Node`, which holds no data:
+the output's gradient, the nodes of its inputs that take a gradient, and
+its backward closure.  A leaf (a parameter, or any tensor no op made) is
+its own node.  Each closure saves exactly the arrays its formula reads:
+
+    matmul, mul      per operand that takes a gradient, the other operand
+    silu             its input (the sigmoid is recomputed)
+    rms_norm         its input, the per-row 1/rms and the gain
+    softmax          its own output
+    cross_entropy    the forward's exp, not the logits
+    add, scale, reshape, transpose, rope, embedding, sum_all: no input array
+
+So an output that no closure reads is freed as soon as the forward drops
+its handle: in the model, the adapter path's full-width products, the raw
+attention scores, the rope inputs and the residual branches' products.
+
 A graph is backpropagated once.  `Tensor.backward` releases it as it
 walks: each node loses its closure and parents before its gradient flows
 on, and an interior node's `.grad` is dropped once consumed, so reference
-counting alone frees every activation the graph saved.  Leaves (nodes
-without a backward closure, such as parameters) keep their `.grad`.
-A backward closure reaches its own output only through a weak reference,
-so a graph that is built but never backpropagated holds no reference
-cycle either: dropping its output frees it.  Inside `no_grad()` ops record
-nothing at all: outputs do not require grad, and no parents or closures
-are kept.  Evaluation runs there.
+counting alone frees every array the graph saved.  Leaves keep their
+`.grad`.  A backward closure reaches its own node only through a weak
+reference, so a graph that is built but never backpropagated holds no
+reference cycle either: dropping its output frees it.  Inside `no_grad()`
+ops record nothing at all: outputs do not require grad and get no node.
+Evaluation runs there.
 
 Gradient ownership: no two tensors' `.grad` share memory.  The first
 gradient a tensor receives from an op's backward is a fresh array (or a
@@ -103,17 +120,44 @@ def _ensure_finite(data: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    """Array node in the autodiff graph."""
+    """An array, and the handle to its node in the autodiff graph.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward",
-                 "__weakref__")
+    A leaf (a tensor no op made, such as a parameter) is its own node and
+    keeps its own .grad.  An op output that requires grad links to a
+    `_Node`, which holds its gradient, parents and backward closure but not
+    its data; .grad, ._parents and ._backward read and write that node.
+    """
+
+    __slots__ = ("data", "requires_grad", "_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._grad: np.ndarray | None = None
+        self._node: _Node | None = None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self._node is None:
+            self._grad = value
+        else:
+            self._node.grad = value
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, closure) -> None:
+        self._node._backward = closure
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -136,8 +180,7 @@ class Tensor:
         Pass only an array that no other tensor or caller sees afterwards.
         """
         if self.grad is None:
-            self.grad = (g if g.dtype == self.data.dtype
-                         else g.astype(self.data.dtype))
+            self.grad = g if g.dtype == self.dtype else g.astype(self.dtype)
         else:
             self.grad += g
 
@@ -166,9 +209,10 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ValueError(f"backward needs a scalar, got shape {self.data.shape}")
-        topo: list[Tensor] = []
+        root = self if self._node is None else self._node
+        topo: list = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list = [(root, False)]
         while stack:
             node, emitted = stack.pop()
             if emitted:
@@ -179,9 +223,8 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad:
-                    stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+                stack.append((parent, False))
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
             closure = node._backward
@@ -191,6 +234,32 @@ class Tensor:
             node._parents = ()
             closure()
             node.grad = None
+
+
+class _Node:
+    """What the graph keeps of an op output: no data, only what backward needs.
+
+    Its dtype (so a gradient is cast as the output's would be), its
+    gradient, the nodes of the inputs that take a gradient, and the
+    backward closure.
+    """
+
+    __slots__ = ("dtype", "grad", "_parents", "_backward", "__weakref__")
+
+    def __init__(self, dtype, parents: tuple):
+        self.dtype = dtype
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._backward = None
+
+    accumulate_grad = Tensor.accumulate_grad  # same rule, on the node's slots
+
+
+def _sink(t: Tensor) -> Tensor | _Node | None:
+    """The node t's gradient accumulates into, or None if it takes none."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
 
 
 def _as_tensor(x, like: Tensor) -> Tensor:
@@ -213,37 +282,43 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
           checked: bool = True) -> Tensor:
     if checked:
         _ensure_finite(data, op)
-    out = Tensor(data, requires_grad=_GRAD_ENABLED.get()
-                 and any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = tuple(p for p in parents if p.requires_grad)
+    out = Tensor(data)
+    if _GRAD_ENABLED.get():
+        linked = tuple(n for n in map(_sink, parents) if n is not None)
+        if linked:
+            out.requires_grad = True
+            out._node = _Node(out.data.dtype, linked)
     return out
 
 
 def _attach(out: Tensor, back) -> None:
-    """Make back(out.grad) out's zero-argument backward closure.
+    """Make back(grad) the zero-argument backward closure of out's node.
 
-    The closure holds out weakly; a strong reference would put every node
-    in a cycle that only the cyclic collector frees.
+    The closure holds the node weakly; a strong reference would put every
+    node in a cycle that only the cyclic collector frees.  back itself must
+    not reach any input tensor, only the arrays its gradient formula reads.
     """
-    ref = weakref.ref(out)
-    out._backward = lambda: back(ref().grad)
+    ref = weakref.ref(out._node)
+    out._node._backward = lambda: back(ref().grad)
 
 
 def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out = _node(a.data + b.data, (a, b), "add")
     if out.requires_grad:
+        na, nb = _sink(a), _sink(b)
+        a_shape, b_shape = a.data.shape, b.data.shape
+
         def _back(g):
             ga = None
-            if a.requires_grad:
-                ga = _unbroadcast(g, a.data.shape)
-                a.accumulate_grad(ga)
-            if b.requires_grad:
-                gb = _unbroadcast(g, b.data.shape)
+            if na is not None:
+                ga = _unbroadcast(g, a_shape)
+                na.accumulate_grad(ga)
+            if nb is not None:
+                gb = _unbroadcast(g, b_shape)
                 if ga is not None and np.may_share_memory(ga, gb):
                     gb = gb.copy()  # a may have taken this buffer over
-                b.accumulate_grad(gb)
+                nb.accumulate_grad(gb)
         _attach(out, _back)
     return out
 
@@ -252,11 +327,17 @@ def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out = _node(a.data * b.data, (a, b), "mul")
     if out.requires_grad:
+        na, nb = _sink(a), _sink(b)
+        a_shape, b_shape = a.data.shape, b.data.shape
+        # Each operand's gradient reads the other operand.
+        a_data = a.data if nb is not None else None
+        b_data = b.data if na is not None else None
+
         def _back(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
+            if na is not None:
+                na.accumulate_grad(_unbroadcast(g * b_data, a_shape))
+            if nb is not None:
+                nb.accumulate_grad(_unbroadcast(g * a_data, b_shape))
         _attach(out, _back)
     return out
 
@@ -264,8 +345,10 @@ def mul(a: Tensor, b) -> Tensor:
 def scale(a: Tensor, s: float) -> Tensor:
     out = _node(a.data * s, (a,), "scale")
     if out.requires_grad:
+        na = _sink(a)
+
         def _back(g):
-            a.accumulate_grad(g * s)
+            na.accumulate_grad(g * s)
         _attach(out, _back)
     return out
 
@@ -275,27 +358,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul operands must have ndim >= 2")
     out = _node(a.data @ b.data, (a, b), "matmul")
     if out.requires_grad:
-        if b.data.ndim == 2:
+        na, nb = _sink(a), _sink(b)
+        a_shape, b_shape = a.data.shape, b.data.shape
+        # Each operand's gradient reads the other operand: a frozen weight
+        # saves no input, and a constant operand saves nothing.
+        a_data = a.data if nb is not None else None
+        b_data = b.data if na is not None else None
+        if len(b_shape) == 2:
+            k, n = b_shape
+            # In b's layout: a weight used as transpose(w) then gets a
+            # C-ordered gradient, as its optimizer moments.
+            b_fortran = b.data.flags.f_contiguous
+
             def _back(g):
                 # Fold a's leading dimensions: one 2-D GEMM per gradient.
-                k, n = b.data.shape
                 g2 = g.reshape(-1, n)
-                if a.requires_grad:
-                    a.accumulate_grad((g2 @ b.data.T).reshape(a.data.shape))
-                if b.requires_grad:
-                    a2 = a.data.reshape(-1, k)
-                    # In b's layout: a weight used as transpose(w) then
-                    # gets a C-ordered gradient, as its optimizer moments.
-                    b.accumulate_grad((g2.T @ a2).T if b.data.flags.f_contiguous
-                                      else a2.T @ g2)
+                if na is not None:
+                    na.accumulate_grad((g2 @ b_data.T).reshape(a_shape))
+                if nb is not None:
+                    a2 = a_data.reshape(-1, k)
+                    nb.accumulate_grad((g2.T @ a2).T if b_fortran else a2.T @ g2)
         else:
             def _back(g):
-                if a.requires_grad:
-                    a.accumulate_grad(_unbroadcast(
-                        g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-                if b.requires_grad:
-                    b.accumulate_grad(_unbroadcast(
-                        np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+                if na is not None:
+                    na.accumulate_grad(_unbroadcast(
+                        g @ np.swapaxes(b_data, -1, -2), a_shape))
+                if nb is not None:
+                    nb.accumulate_grad(_unbroadcast(
+                        np.swapaxes(a_data, -1, -2) @ g, b_shape))
         _attach(out, _back)
     return out
 
@@ -306,12 +396,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def silu(x: Tensor) -> Tensor:
-    sig = _sigmoid(x.data)
     # |x * sigmoid(x)| <= |x|: finite input, finite output; no probe.
-    out = _node(x.data * sig, (x,), "silu", checked=False)
+    out = _node(x.data * _sigmoid(x.data), (x,), "silu", checked=False)
     if out.requires_grad:
+        nx, x_data = _sink(x), x.data
+
         def _back(g):
-            x.accumulate_grad(g * sig * (1.0 + x.data * (1.0 - sig)))
+            # Recomputed, not saved: one exp here against an input-sized
+            # array held from forward to backward.
+            sig = _sigmoid(x_data)
+            nx.accumulate_grad(g * sig * (1.0 + x_data * (1.0 - sig)))
         _attach(out, _back)
     return out
 
@@ -323,8 +417,9 @@ def softmax(x: Tensor, scale: float = 1.0, mask=None) -> Tensor:
     gradient flows into it).  One output buffer holds every stage: scale,
     mask, row max, exp and normalization run in place, in the rounding
     order of the scale -> add -> softmax chain they replace, so values and
-    gradients are bit-identical to that chain.  The backward is computed in
-    place in the output's gradient: (g - sum(g * y)) * y * scale.
+    gradients are bit-identical to that chain.  The backward reads only
+    the output and is computed in place in the output's gradient:
+    (g - sum(g * y)) * y * scale.
 
     With |scale| <= 1 and a mask whose sum of squares is finite (so every
     |mask| <= sqrt(finfo.max), far below half an ulp of finfo.max in
@@ -344,31 +439,40 @@ def softmax(x: Tensor, scale: float = 1.0, mask=None) -> Tensor:
     y /= y.sum(axis=-1, keepdims=True)
     out = _node(y, (x,), "softmax", checked=not bounded)
     if out.requires_grad:
+        nx = _sink(x)
+
         def _back(g):
             # g is the consumed output's own gradient: overwrite it.
             g -= (g * y).sum(axis=-1, keepdims=True)
             g *= y
             g *= scale
-            x.accumulate_grad(g)
+            nx.accumulate_grad(g)
         _attach(out, _back)
     return out
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
-    """Root-mean-square normalization over the last axis, scaled by `gain`."""
-    n = x.data.shape[-1]
-    ms = np.mean(np.square(x.data), axis=-1, keepdims=True)
+    """Root-mean-square normalization over the last axis, scaled by `gain`.
+
+    The backward keeps x and the per-row 1/rms, and recomputes the
+    normalized x (the forward's own multiply) for the gain's gradient.
+    """
+    x_data = x.data
+    n = x_data.shape[-1]
+    ms = np.mean(np.square(x_data), axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(ms + eps)
-    normed = x.data * inv
-    out = _node(normed * gain.data, (x, gain), "rms_norm")
+    out = _node(x_data * inv * gain.data, (x, gain), "rms_norm")
     if out.requires_grad:
+        nx, ngain = _sink(x), _sink(gain)
+        gain_data, gain_shape = gain.data, gain.data.shape
+
         def _back(g):
-            if gain.requires_grad:
-                gain.accumulate_grad(_unbroadcast(g * normed, gain.data.shape))
-            if x.requires_grad:
-                du = g * gain.data
-                proj = (du * x.data).sum(axis=-1, keepdims=True) / n
-                x.accumulate_grad(inv * du - (inv ** 3) * x.data * proj)
+            if ngain is not None:
+                ngain.accumulate_grad(_unbroadcast(g * (x_data * inv), gain_shape))
+            if nx is not None:
+                du = g * gain_data
+                proj = (du * x_data).sum(axis=-1, keepdims=True) / n
+                nx.accumulate_grad(inv * du - (inv ** 3) * x_data * proj)
         _attach(out, _back)
     return out
 
@@ -383,10 +487,13 @@ def embedding(weight: Tensor, ids) -> Tensor:
         raise ValueError(f"ids out of range for vocab {vocab}")
     out = _node(weight.data[ids], (weight,), "embedding")
     if out.requires_grad:
+        nw = _sink(weight)
+        w_shape, w_dtype = weight.data.shape, weight.data.dtype
+
         def _back(g):
-            gw = np.zeros_like(weight.data)
+            gw = np.zeros(w_shape, dtype=w_dtype)
             np.add.at(gw, ids, g)
-            weight.accumulate_grad(gw)
+            nw.accumulate_grad(gw)
         _attach(out, _back)
     return out
 
@@ -396,6 +503,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
     logits: (..., vocab); targets: integer array of the leading shape.
     Log-sum-exp is max-subtracted; the mean reduction runs in float64.
+    The backward keeps the forward's exp, not the logits.
     """
     targets = np.asarray(targets)
     if targets.shape != logits.data.shape[:-1]:
@@ -404,23 +512,25 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
             f"{logits.data.shape[:-1]}")
     flat = logits.data.reshape(-1, logits.data.shape[-1])
     tgt = targets.reshape(-1)
-    vocab = flat.shape[1]
+    rows, vocab = flat.shape
     if tgt.size and (tgt.min() < 0 or tgt.max() >= vocab):
         raise ValueError(f"targets out of range for vocab {vocab}")
     m = np.fmax.reduce(flat, axis=1, keepdims=True)
     ex = flat - m
     np.exp(ex, out=ex)
     lse = np.log(ex.sum(axis=1)) + m[:, 0]
-    picked = flat[np.arange(flat.shape[0]), tgt]
+    picked = flat[np.arange(rows), tgt]
     losses = (lse - picked).astype(np.float64)
     out = _node(np.asarray(losses.mean()), (logits,), "cross_entropy")
     if out.requires_grad:
+        nl, logits_shape = _sink(logits), logits.data.shape
+
         def _back(g):
             probs = ex  # the forward's exp, normalized in place: runs once
             probs /= probs.sum(axis=1, keepdims=True)
-            probs[np.arange(flat.shape[0]), tgt] -= 1.0
-            probs *= float(g) / flat.shape[0]
-            logits.accumulate_grad(probs.reshape(logits.data.shape))
+            probs[np.arange(rows), tgt] -= 1.0
+            probs *= float(g) / rows
+            nl.accumulate_grad(probs.reshape(logits_shape))
         _attach(out, _back)
     return out
 
@@ -428,8 +538,10 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = _node(x.data.reshape(shape), (x,), "reshape", checked=False)
     if out.requires_grad:
+        nx, x_shape = _sink(x), x.data.shape
+
         def _back(g):
-            x.accumulate_grad(g.reshape(x.data.shape))
+            nx.accumulate_grad(g.reshape(x_shape))
         _attach(out, _back)
     return out
 
@@ -438,9 +550,10 @@ def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     axes = tuple(axes) if axes is not None else tuple(reversed(range(x.data.ndim)))
     out = _node(x.data.transpose(axes), (x,), "transpose", checked=False)
     if out.requires_grad:
-        inverse = tuple(np.argsort(axes))
+        nx, inverse = _sink(x), tuple(np.argsort(axes))
+
         def _back(g):
-            x.accumulate_grad(g.transpose(inverse))
+            nx.accumulate_grad(g.transpose(inverse))
         _attach(out, _back)
     return out
 
@@ -463,11 +576,13 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
             f"cos/sin shape {cos.shape} must equal {x.data.shape[-2:]}")
     out = _node(x.data * cos + _rotate_half(x.data) * sin, (x,), "rope")
     if out.requires_grad:
+        nx = _sink(x)
+
         def _back(g):
             gs = g * sin
             half = gs.shape[-1] // 2
             adj = np.concatenate([gs[..., half:], -gs[..., :half]], axis=-1)
-            x.accumulate_grad(g * cos + adj)
+            nx.accumulate_grad(g * cos + adj)
         _attach(out, _back)
     return out
 
@@ -476,8 +591,10 @@ def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar of the same dtype."""
     out = _node(np.asarray(x.data.sum()), (x,), "sum_all")
     if out.requires_grad:
+        nx, x_shape = _sink(x), x.data.shape
+
         def _back(g):
-            x.accumulate_grad(np.broadcast_to(g, x.data.shape).copy())
+            nx.accumulate_grad(np.broadcast_to(g, x_shape).copy())
         _attach(out, _back)
     return out
 

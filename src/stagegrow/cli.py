@@ -72,13 +72,18 @@ def _value(hint, value):
 
     JSON types must match exactly (a bool is not an int), except that an
     int widens to a float field, which takes finite values only; `X | None`
-    also takes null and a tuple field takes a list of the tuple's length.
+    also takes null and a tuple field takes a list of the tuple's length
+    (any length for `tuple[X, ...]`).
     """
     args = typing.get_args(hint)
     if type(None) in args:
         return None if value is None else _value(args[0], value)
     if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list) or len(value) != len(args):
+        if not isinstance(value, list):
+            raise TypeError
+        if args[1:] == (Ellipsis,):  # tuple[X, ...]: a list of any length
+            args = args[:1] * len(value)
+        if len(value) != len(args):
             raise TypeError
         return tuple(map(_value, args, value))
     if hint is float:
@@ -88,6 +93,16 @@ def _value(hint, value):
     if type(value) is not hint:
         raise TypeError
     return value
+
+
+def _field(hint, value, path: str):
+    """`_value(hint, value)`; a value that does not fit is a ConfigError at `path`."""
+    try:
+        return _value(hint, value)
+    except TypeError:
+        name = hint.__name__ if type(hint) is type else str(hint)
+        raise ConfigError(f"{path}: expected {name}, "
+                          f"got {json.dumps(value)}") from None
 
 
 def _section(cls, obj, path: str, **given):
@@ -102,13 +117,7 @@ def _section(cls, obj, path: str, **given):
     hints = typing.get_type_hints(cls)
     values = {}
     for key, value in obj.items():
-        try:
-            values[key] = _value(hints[key], value)
-        except TypeError:
-            hint = hints[key]
-            name = hint.__name__ if type(hint) is type else str(hint)
-            raise ConfigError(f"{path}.{key}: expected {name}, "
-                              f"got {json.dumps(value)}") from None
+        values[key] = _field(hints[key], value, f"{path}.{key}")
     try:
         return cls(**values, **given)
     except ValueError as exc:  # the dataclass's own checks, GrowthError too
@@ -155,24 +164,21 @@ def load_run_config(path: str | Path) -> tuple[
     plan_cfg = cfg["plan"]
     _check_keys(plan_cfg, "$.plan", {"increments", "layers", "stages", "mode"}, set())
     if "increments" in plan_cfg:
-        inc = plan_cfg["increments"]
         if set(plan_cfg) - {"increments"}:
             raise ConfigError("$.plan: increments excludes layers/stages/mode")
-        if (not isinstance(inc, list) or not inc
-                or not all(isinstance(n, int) and n >= 1 for n in inc)):
-            raise ConfigError("$.plan.increments: expected a list of ints >= 1")
-        plan = StagePlan(tuple(inc))
+        plan = _section(StagePlan, plan_cfg, "$.plan")
     else:
         for key in ("layers", "stages"):
-            if not isinstance(plan_cfg.get(key), int):
+            if key not in plan_cfg:
                 raise ConfigError(f"$.plan.{key}: required int when increments absent")
+        layers = _field(int, plan_cfg["layers"], "$.plan.layers")
+        stages = _field(int, plan_cfg["stages"], "$.plan.stages")
         mode = plan_cfg.get("mode", "exact")
         if mode not in SOLVERS:
             raise ConfigError("$.plan.mode: expected 'exact' or 'rounded'")
-        shape = ModelShape(hidden_dim=model.hidden_dim,
-                           layer_count=plan_cfg["layers"],
+        shape = ModelShape(hidden_dim=model.hidden_dim, layer_count=layers,
                            adapter_rank=growth.adapter_rank)
-        plan = SOLVERS[mode](plan_cfg["layers"], plan_cfg["stages"], shape)
+        plan = SOLVERS[mode](layers, stages, shape)
     model = replace(model, layer_count=plan.increments[0])
 
     missing = [p for p in corpus if not Path(p).is_file()]

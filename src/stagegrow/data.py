@@ -73,6 +73,8 @@ def load_corpus(paths: str | Path | Sequence[str | Path],
 
 def window_count(stream_len: int, seq_len: int) -> int:
     """Non-overlapping windows of seq_len+1 bytes that fit in the stream."""
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
     return max(0, (stream_len - 1) // seq_len)
 
 

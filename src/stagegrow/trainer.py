@@ -393,8 +393,9 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                 for _, t in trainables:
                     t.zero_grad()
                 try:
-                    logits = model_lib.forward(model, inputs)
-                    loss = ad.cross_entropy(logits, targets)
+                    # No handle on the logits: backward reads none of them.
+                    loss = ad.cross_entropy(model_lib.forward(model, inputs),
+                                            targets)
                     loss_value = float(loss.data)
                     if not math.isfinite(loss_value):
                         raise NonFiniteError("loss is not finite")

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from stagegrow import autodiff
 from stagegrow.autodiff import (NonFiniteError, Tensor, add, cross_entropy,
                                 embedding, grad_check, matmul, mul, no_grad,
                                 reshape, rms_norm, rope, scale, silu, softmax,
@@ -516,6 +517,91 @@ def test_graph_without_backward_is_freed_without_cycle_collector():
         assert alive() is None and alive_data() is None
     finally:
         gc.enable()
+
+
+def test_forward_keeps_only_what_backward_reads(monkeypatch):
+    # An op output that no backward closure reads dies as soon as the
+    # forward drops it: the adapter path's full-width product and its
+    # scaled copy, the raw attention scores (softmax keeps its own output)
+    # and the w_o product (the residual add keeps nothing).  rms_norm
+    # keeps its input.
+    model = staged_model()
+    rng = np.random.default_rng(0)
+    ids = rng.integers(0, 256, size=(2, 16))
+    targets = rng.integers(0, 256, size=(2, 16))
+    w_o = {id(layer.w_o.data) for layer in model.layers}
+    refs = {"scale": [], "scores": [], "w_o": [], "norm_input": []}
+    orig_scale, orig_matmul, orig_norm = (autodiff.scale, autodiff.matmul,
+                                          autodiff.rms_norm)
+
+    def scale_(a, s):
+        out = orig_scale(a, s)
+        refs["scale"] += [weakref.ref(a.data), weakref.ref(out.data)]
+        return out
+
+    def matmul_(a, b):
+        out = orig_matmul(a, b)
+        if out.data.shape == (2, 4, 16, 16):
+            refs["scores"].append(weakref.ref(out.data))
+        elif b.data.base is not None and id(b.data.base) in w_o:
+            refs["w_o"].append(weakref.ref(out.data))
+        return out
+
+    def rms_norm_(x, gain, eps=1e-5):
+        refs["norm_input"].append(weakref.ref(x.data))
+        return orig_norm(x, gain, eps)
+
+    monkeypatch.setattr(autodiff, "scale", scale_)
+    monkeypatch.setattr(autodiff, "matmul", matmul_)
+    monkeypatch.setattr(autodiff, "rms_norm", rms_norm_)
+    gc.collect()
+    gc.disable()
+    try:
+        logits = forward(model, ids)
+        assert {k: len(v) for k, v in refs.items()} == {
+            "scale": 14, "scores": 2, "w_o": 2, "norm_input": 5}
+        for kind in ("scale", "scores", "w_o"):
+            assert all(r() is None for r in refs[kind]), kind
+        assert all(r() is not None for r in refs["norm_input"])
+        cross_entropy(logits, targets).backward()
+    finally:
+        gc.enable()
+    for name, t in trainable_parameters(model):
+        assert t.grad is not None and t.grad.shape == t.data.shape, name
+
+
+def test_replaced_backward_closure_is_called(monkeypatch):
+    # A profiler may wrap an op output's _backward and Tensor.backward by
+    # assignment; the walk must call the wrappers and still reach the leaves.
+    rng = np.random.default_rng(4)
+    x, w = leaf(rng, 3, 4), leaf(rng, 4, 5)
+    sum_all(silu(matmul(x, w))).backward()
+    expect = x.grad.copy(), w.grad.copy()
+    x.zero_grad()
+    w.zero_grad()
+
+    calls = []
+    orig_backward = Tensor.backward
+
+    def backward(self):
+        calls.append("Tensor.backward")
+        orig_backward(self)
+
+    monkeypatch.setattr(Tensor, "backward", backward)
+    y = matmul(x, w)
+    closure = y._backward
+    assert callable(closure)
+
+    def wrapped():
+        calls.append("matmul")
+        closure()
+
+    y._backward = wrapped
+    assert y._backward is wrapped
+    sum_all(silu(y)).backward()
+    assert calls == ["Tensor.backward", "matmul"]
+    assert y._backward is None and y.grad is None
+    assert np.array_equal(x.grad, expect[0]) and np.array_equal(w.grad, expect[1])
 
 
 def test_no_grad_records_nothing():

@@ -250,6 +250,15 @@ def test_train_missing_corpus_creates_nothing(capsys, tmp_path):
     ({"train": {"peak_lr": float("nan")}}, "$.train.peak_lr"),
     ({"train": {"eps": float("inf")}}, "$.train.eps"),
     ({"growth": {"adapter_scale": 10 ** 400}}, "$.growth.adapter_scale"),
+    # The plan section is typed the same way: a bool is not an int.
+    ({"plan": {"increments": [True, 2]}}, "$.plan.increments"),
+    ({"plan": {"increments": [2.0, 2]}}, "$.plan.increments"),
+    ({"plan": {"increments": "2,2"}}, "$.plan.increments"),
+    ({"plan": {"increments": []}}, "$.plan"),
+    ({"plan": {"increments": [2, 0]}}, "$.plan"),
+    ({"plan": {"layers": True, "stages": 1}}, "$.plan.layers"),
+    ({"plan": {"layers": 4, "stages": True}}, "$.plan.stages"),
+    ({"plan": {"layers": 4.0, "stages": 2}}, "$.plan.layers"),
 ])
 def test_train_config_validation(capsys, tmp_path, small_corpus_file,
                                  overrides, fragment):
@@ -362,7 +371,8 @@ def test_eval_zeroed_readout_is_uniform(capsys, tmp_path, small_corpus_file):
     assert payload["ppl"] == pytest.approx(256.0, rel=1e-6)
 
 
-@pytest.mark.parametrize("flag", [["--max-windows", "0"], ["--batch-size", "0"]])
+@pytest.mark.parametrize("flag", [["--max-windows", "0"], ["--batch-size", "0"],
+                                  ["--seq-len", "0"], ["--seq-len", "-3"]])
 def test_eval_rejects_empty_evaluation(capsys, tmp_path, small_corpus_file, flag):
     model = build_model(ModelConfig(hidden_dim=48, layer_count=1, head_count=4,
                                     max_seq_len=32), seed=0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,34 @@ def test_attention_records_two_score_sized_nodes_per_layer(monkeypatch):
     square = [(op, grad) for op, shape, grad in made
               if shape == (batch, cfg.head_count, seq, seq)]
     assert square == [("matmul", True), ("softmax", True)] * cfg.layer_count
+
+
+def _step_peak_bytes(model, tokens) -> int:
+    """tracemalloc peak of one fwd+bwd, gradients cleared beforehand."""
+    for _, t in named_parameters(model):
+        t.zero_grad()
+    tracemalloc.start()
+    try:
+        cross_entropy(forward(model, tokens[:, :-1]), tokens[:, 1:]).backward()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_staged_step_peaks_no_higher_than_vanilla():
+    # Saved activations, not weights or optimizer state, set the step peak
+    # at this shape.  Frozen layers with rank-8 adapters still backprop, so
+    # the staged step keeps what vanilla keeps; the adapter path may add
+    # only its rank-wide products, since its scaled full-width outputs are
+    # read by no backward.
+    cfg = ModelConfig(hidden_dim=96, layer_count=8, head_count=6, max_seq_len=64)
+    tokens = np.random.default_rng(0).integers(0, 256, size=(8, 65))
+    vanilla = build_model(cfg, seed=0)
+    staged = build_model(cfg, seed=0)
+    freeze_layers(staged, range(4))
+    attach_adapters(staged, range(4), AdapterSpec(rank=8), seed=1)
+    peaks = {}
+    for name, model in (("vanilla", vanilla), ("staged", staged)):
+        _step_peak_bytes(model, tokens)  # warm caches (causal mask)
+        peaks[name] = _step_peak_bytes(model, tokens)
+    assert peaks["staged"] <= 1.05 * peaks["vanilla"], peaks
