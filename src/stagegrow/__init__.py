@@ -13,9 +13,8 @@ from .planner import (BudgetError, FlopsBudget, PlanInfeasibleError,
                       flops_vanilla, solve_exact, solve_rounded, split_steps,
                       stage_flops, stage_param_counts, token_budget)
 from .autodiff import GradCheckReport, NonFiniteError, Tensor, grad_check
-from .model import (ModelConfig, ParamCounts, ToyModel, build_model,
-                    count_params, forward, named_parameters, param_counts,
-                    trainable_parameters)
+from .model import (ModelConfig, ParamCounts, ToyModel, build_model, forward,
+                    named_parameters, param_counts, trainable_parameters)
 from .growth import (AdapterSpec, GrowthError, GrowthSpec, attach_adapters,
                      freeze_layers, grow, insertion_gaps, merge_adapters,
                      reset_adapters)

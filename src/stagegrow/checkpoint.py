@@ -96,18 +96,29 @@ def _read_array(blob: bytes, entry: dict) -> np.ndarray:
 
 
 def load_checkpoint(directory: str | Path) -> tuple[ToyModel, dict]:
-    """Rebuild the model from a checkpoint directory; returns (model, manifest)."""
+    """Rebuild the model from a checkpoint directory; returns (model, manifest).
+
+    Every structural fault is a CheckpointError, a manifest that lacks a
+    key or holds a value of the wrong JSON type included.
+    """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     blob_path = directory / BLOB_NAME
     if not manifest_path.is_file() or not blob_path.is_file():
         raise CheckpointError(f"{directory} is not a checkpoint directory")
     manifest = json.loads(manifest_path.read_text())
+    try:
+        return _rebuild(manifest, blob_path.read_bytes()), manifest
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"malformed manifest: {exc!r}") from exc
+
+
+def _rebuild(manifest: dict, blob: bytes) -> ToyModel:
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported format_version {manifest.get('format_version')}")
-
-    blob = blob_path.read_bytes()
+    if not isinstance(manifest.get("extra", {}), dict):
+        raise CheckpointError("malformed manifest: extra is not an object")
     if len(blob) != manifest["blob_bytes"]:
         raise DigestError(
             f"blob is {len(blob)} bytes, manifest says {manifest['blob_bytes']}")
@@ -156,4 +167,4 @@ def load_checkpoint(directory: str | Path) -> tuple[ToyModel, dict]:
     cos, sin = rope_cache(config.max_seq_len, config.head_dim, config.rope_base, dtype)
     return ToyModel(config=config, embed=embed, unembed=unembed,
                     final_gain=final_gain, layers=layers,
-                    rope_cos=cos, rope_sin=sin, dtype=dtype), manifest
+                    rope_cos=cos, rope_sin=sin, dtype=dtype)

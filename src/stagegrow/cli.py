@@ -142,7 +142,7 @@ def load_run_config(path: str | Path) -> tuple[
     _check_keys(cfg, "$", {"version", "run_dir", "corpus", "validation_fraction",
                            "model", "plan", "growth", "train", "eval"},
                 {"version", "run_dir", "corpus", "model", "plan", "train"})
-    if cfg["version"] != 1:
+    if _field(int, cfg["version"], "$.version") != 1:
         raise ConfigError(f"$.version: unsupported version {cfg['version']!r}")
     if not isinstance(cfg["run_dir"], str) or not cfg["run_dir"]:
         raise ConfigError("$.run_dir: expected a non-empty string")
@@ -240,7 +240,7 @@ def _write_plan_reports(out_dir: Path, report: dict,
                         vanilla_bytes: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
+        json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     with open(out_dir / "stages.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stage", "new_layers", "cumulative_layers",
@@ -261,6 +261,12 @@ def _write_plan_reports(out_dir: Path, report: dict,
 # ---------------------------------------------------------------------------
 
 def cmd_plan(args) -> int:
+    for flag, value in (("--gpu-budget-bytes", args.gpu_budget_bytes),
+                        ("--flops-budget", args.flops_budget)):
+        if value is not None:
+            _field(float, value, flag)  # NaN and the infinities do not fit
+    if args.embedding_params < 0:
+        raise ConfigError(f"--embedding-params: expected >= 0, got {args.embedding_params}")
     shape = ModelShape(hidden_dim=args.hidden, layer_count=args.layers,
                        adapter_rank=args.rank)
     plan = SOLVERS[args.mode](args.layers, args.stages, shape)

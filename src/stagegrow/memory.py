@@ -1,44 +1,37 @@
 """Optimizer-state memory accounting for staged decoder training.
 
-Everything here is exact integer arithmetic over parameter counts.  The cost
-model charges bytes per parameter slot, assuming fp16-style weights with an
-Adam-style optimizer kept in 32-bit:
+Everything here is exact integer arithmetic over parameter counts, from one
+stage rule and one byte rate; every byte figure in the package derives from
+these two (the FLOP rate is stagegrow.planner.stage_flops).
+
+`stage_params` is the stage rule.  During stage i of a grown schedule the
+n_i freshly added layers train, while the N_{i-1} previously trained layers
+sit frozen with trainable adapters on top.  A decoder layer with hidden size
+d, LLaMA-style (4 attention d x d matrices, gate/up/down feed-forward at
+width 8d/3, two norm gain vectors) carries P = 12 d^2 + 2 d parameters; a
+rank-r adapter pair on each of its matrices adds E = 19 r d.
+
+`state_bytes` is the byte rate, for fp16-style weights with an Adam-style
+optimizer kept in 32-bit:
 
     trainable parameter: 2 (weight) + 2 (grad) + 12 (optimizer moments) = 16 B
     frozen parameter:    2 (weight)                                     =  2 B
 
-A decoder layer with hidden size d, LLaMA-style (4 attention d x d matrices,
-gate/up/down feed-forward at width 8d/3, two norm gain vectors) carries
-12 d^2 + 2 d parameters.  A rank-r adapter pair on every matrix of such a
-layer adds 19 r d parameters.
-
-During stage i of a grown schedule, n_i freshly added layers train at the
-full 16 B/param while the N_{i-1} previously trained layers sit frozen at
-2 B/param with trainable adapters on top:
-
-    bytes(i) = 16 n_i P + 2 N_{i-1} P + 16 N_{i-1} E
-
-with P = 12 d^2 + 2 d and E = 19 r d.  Embeddings, when modelled at all, are
-a constant 16 B/param add-on in every stage; it shifts all stages equally and
-can never change which stage is the peak or which plan minimizes it.
+so bytes(i) = 16 n_i P + 2 N_{i-1} P + 16 N_{i-1} E.  Embeddings, when
+modelled at all, are a constant 16 B/param add-on in every stage; it shifts
+all stages equally and can never change which stage is the peak or which
+plan minimizes it.  Every function taking a plan normalizes it through
+`StagePlan.of`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 TRAINABLE_BYTES = 16  # weight + grad + two optimizer moments
 FROZEN_BYTES = 2      # weight only
-
-
-def default_ffn_dim(hidden_dim: int) -> int:
-    """Feed-forward width used by the layer formula: round(8 d / 3).
-
-    The fractional part of 8d/3 is always 0, 1/3 or 2/3, so rounding is
-    unambiguous; for d divisible by 3 the result is exactly 8d/3.
-    """
-    return round(8 * hidden_dim / 3)
 
 
 @dataclass(frozen=True)
@@ -47,23 +40,58 @@ class ModelShape:
 
     hidden_dim: int
     layer_count: int
-    vocab_size: int = 256
     adapter_rank: int = 0
-    ffn_dim: int | None = None
 
     def __post_init__(self) -> None:
         if self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.layer_count < 1:
             raise ValueError(f"layer_count must be >= 1, got {self.layer_count}")
-        if self.vocab_size < 1:
-            raise ValueError(f"vocab_size must be >= 1, got {self.vocab_size}")
         if self.adapter_rank < 0:
             raise ValueError(f"adapter_rank must be >= 0, got {self.adapter_rank}")
-        if self.ffn_dim is None:
-            object.__setattr__(self, "ffn_dim", default_ffn_dim(self.hidden_dim))
-        if self.ffn_dim < 1:
-            raise ValueError(f"ffn_dim must be >= 1, got {self.ffn_dim}")
+
+
+@dataclass(frozen=True)
+class StagePlan:
+    """Layer increments per stage; stage i trains increments[i-1] new layers."""
+
+    increments: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        inc = tuple(int(n) for n in self.increments)
+        object.__setattr__(self, "increments", inc)
+        if not inc:
+            raise ValueError("a plan needs at least one stage")
+        for n in inc:
+            if n < 1:
+                raise ValueError(f"every stage must add at least one layer, got {inc}")
+
+    @classmethod
+    def of(cls, plan) -> StagePlan:
+        """`plan` itself if it is a StagePlan, else the plan of its increments."""
+        return plan if isinstance(plan, cls) else cls(tuple(plan))
+
+    def __iter__(self):
+        return iter(self.increments)
+
+    def __len__(self) -> int:
+        return len(self.increments)
+
+    @property
+    def stage_count(self) -> int:
+        return len(self.increments)
+
+    @property
+    def cumulative(self) -> tuple[int, ...]:
+        return tuple(itertools.accumulate(self.increments))
+
+    @property
+    def target_layers(self) -> int:
+        return sum(self.increments)
+
+    def describe(self) -> str:
+        """Cumulative depth chain, e.g. '14 -> 24'."""
+        return " -> ".join(str(n) for n in self.cumulative)
 
 
 def layer_params(hidden_dim: int) -> int:
@@ -96,22 +124,34 @@ def embedding_params(vocab_size: int, hidden_dim: int, tied: bool = False) -> in
     return (table if tied else 2 * table) + hidden_dim
 
 
+class StageParams(NamedTuple):
+    """Non-embedding parameters by role while one stage trains."""
+
+    new_layer: int
+    frozen: int
+    adapter: int
+
+    @property
+    def trainable(self) -> int:
+        return self.new_layer + self.adapter
+
+
+def stage_params(prior_layers: int, new_layers: int, shape: ModelShape) -> StageParams:
+    """The stage rule: new layers train, prior layers freeze under adapters."""
+    p = layer_params(shape.hidden_dim)
+    e = adapter_params(shape.hidden_dim, shape.adapter_rank)
+    return StageParams(new_layers * p, prior_layers * p, prior_layers * e)
+
+
+def state_bytes(trainable: int, frozen: int = 0) -> int:
+    """The byte rate: 16 B per trainable parameter, 2 B per frozen one."""
+    return TRAINABLE_BYTES * trainable + FROZEN_BYTES * frozen
+
+
 def vanilla_state_bytes(layer_count: int, hidden_dim: int, embedding_params: int = 0) -> int:
     """Bytes to train all layers at once: 16 B/param across the board."""
-    if layer_count < 1:
-        raise ValueError(f"layer_count must be >= 1, got {layer_count}")
-    return TRAINABLE_BYTES * (layer_count * layer_params(hidden_dim) + embedding_params)
-
-
-def _as_increments(plan) -> tuple[int, ...]:
-    """Accept a StagePlan-like object (has .increments) or a plain sequence."""
-    inc = tuple(getattr(plan, "increments", plan))
-    if not inc:
-        raise ValueError("plan must have at least one stage")
-    for n in inc:
-        if n < 1:
-            raise ValueError(f"every stage must add at least one layer, got {inc}")
-    return inc
+    layers = stage_params(0, layer_count, ModelShape(hidden_dim, layer_count))
+    return state_bytes(layers.trainable + embedding_params)
 
 
 @dataclass(frozen=True)
@@ -140,21 +180,20 @@ def stage_state_bytes(plan, stage: int, shape: ModelShape,
     16 B/param for their adapters.  With no prior layers (stage 1) this
     reduces to vanilla_state_bytes over the stage's own layers.
     """
-    inc = _as_increments(plan)
-    if not 1 <= stage <= len(inc):
-        raise IndexError(f"stage {stage} out of range 1..{len(inc)}")
-    p = layer_params(shape.hidden_dim)
-    e = adapter_params(shape.hidden_dim, shape.adapter_rank)
-    n_new = inc[stage - 1]
-    n_prior = sum(inc[:stage - 1])
+    plan = StagePlan.of(plan)
+    if not 1 <= stage <= len(plan):
+        raise IndexError(f"stage {stage} out of range 1..{len(plan)}")
+    n_new = plan.increments[stage - 1]
+    n_prior = plan.cumulative[stage - 1] - n_new
+    params = stage_params(n_prior, n_new, shape)
     return StageMemory(
         stage=stage,
         new_layers=n_new,
         prior_layers=n_prior,
-        new_layer_state_bytes=TRAINABLE_BYTES * n_new * p,
-        frozen_param_bytes=FROZEN_BYTES * n_prior * p,
-        adapter_state_bytes=TRAINABLE_BYTES * n_prior * e,
-        embedding_state_bytes=TRAINABLE_BYTES * embedding_params,
+        new_layer_state_bytes=state_bytes(params.new_layer),
+        frozen_param_bytes=state_bytes(0, params.frozen),
+        adapter_state_bytes=state_bytes(params.adapter),
+        embedding_state_bytes=state_bytes(embedding_params),
     )
 
 
@@ -181,10 +220,10 @@ class MemoryEstimate:
 
 def plan_peak_bytes(plan, shape: ModelShape, embedding_params: int = 0) -> MemoryEstimate:
     """Evaluate stage_state_bytes for every stage of `plan`."""
-    inc = _as_increments(plan)
+    plan = StagePlan.of(plan)
     return MemoryEstimate(tuple(
-        stage_state_bytes(inc, i, shape, embedding_params)
-        for i in range(1, len(inc) + 1)
+        stage_state_bytes(plan, i, shape, embedding_params)
+        for i in range(1, len(plan) + 1)
     ))
 
 

@@ -311,8 +311,3 @@ def param_counts(model: ToyModel) -> ParamCounts:
     if model.unembed is not None:
         embedding += model.unembed.data.size
     return ParamCounts(trainable_layer, frozen_layer, adapter, embedding)
-
-
-def count_params(model: ToyModel, trainable_only: bool = False) -> int:
-    counts = param_counts(model)
-    return counts.trainable if trainable_only else counts.total

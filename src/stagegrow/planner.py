@@ -5,8 +5,9 @@ Given a target depth L and a stage count K, choose increments n_1..n_K
 
     bytes(i) = 16 n_i P + 2 N_{i-1} P + 16 N_{i-1} E,   N_i = n_1 + .. + n_i
 
-(see stagegrow.memory).  Writing c1 = 16 P and c2 = 2 P + 16 E this is
-c1 n_i + c2 N_{i-1}: strictly increasing in both arguments, which makes a
+that is, memory.stage_params(N_{i-1}, n_i) priced at memory.state_bytes.
+Its slopes c1 = bytes(0, 1) = 16 P and c2 = bytes(1, 0) = 2 P + 16 E are
+positive, so it is strictly increasing in both arguments, which makes a
 small min-max dynamic program over (stage, cumulative layers) exact.
 
 Two solvers:
@@ -19,19 +20,18 @@ profile n_{i+1} = q n_i with ratio q = (14 P - 16 E) / 16 P and
 
     n_1 = L (1 - q) / (1 - q^K).
 
-Also here: training-compute estimates.  A full forward+backward pass costs
-about 6 FLOPs per parameter per token; a frozen parameter skips the backward
-weight work and costs about 2.  Counts are non-embedding throughout.
+Also here: the FLOP rate, stage_flops, through which every FLOP figure
+goes (the trainer's ledger, token_budget, flops_vanilla).  A full
+forward+backward pass costs about 6 FLOPs per parameter per token; a frozen
+parameter skips the backward weight work and costs about 2.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .memory import (FROZEN_BYTES, TRAINABLE_BYTES, ModelShape, adapter_params,
-                     layer_params)
+from .memory import ModelShape, StagePlan, stage_params, state_bytes
 
 FLOPS_PER_TRAINABLE_PARAM_TOKEN = 6
 FLOPS_PER_FROZEN_PARAM_TOKEN = 2
@@ -45,49 +45,10 @@ class BudgetError(ValueError):
     """A compute budget cannot cover even one step per stage."""
 
 
-@dataclass(frozen=True)
-class StagePlan:
-    """Layer increments per stage; stage i trains increments[i-1] new layers."""
-
-    increments: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        inc = tuple(int(n) for n in self.increments)
-        object.__setattr__(self, "increments", inc)
-        if not inc:
-            raise ValueError("a plan needs at least one stage")
-        for n in inc:
-            if n < 1:
-                raise ValueError(f"every stage must add at least one layer, got {inc}")
-
-    def __iter__(self):
-        return iter(self.increments)
-
-    def __len__(self) -> int:
-        return len(self.increments)
-
-    @property
-    def stage_count(self) -> int:
-        return len(self.increments)
-
-    @property
-    def cumulative(self) -> tuple[int, ...]:
-        return tuple(itertools.accumulate(self.increments))
-
-    @property
-    def target_layers(self) -> int:
-        return sum(self.increments)
-
-    def describe(self) -> str:
-        """Cumulative depth chain, e.g. '14 -> 24'."""
-        return " -> ".join(str(n) for n in self.cumulative)
-
-
-def _byte_coeffs(shape: ModelShape) -> tuple[int, int]:
-    """(c1, c2) of bytes(i) = c1 n_i + c2 N_{i-1}, from stagegrow.memory's rates."""
-    p = layer_params(shape.hidden_dim)
-    e = adapter_params(shape.hidden_dim, shape.adapter_rank)
-    return TRAINABLE_BYTES * p, FROZEN_BYTES * p + TRAINABLE_BYTES * e
+def _stage_bytes(prior: int, new: int, shape: ModelShape) -> int:
+    """Non-embedding state bytes of a stage adding `new` layers on `prior`."""
+    params = stage_params(prior, new, shape)
+    return state_bytes(params.trainable, params.frozen)
 
 
 def _check_targets(layer_target: int, stage_count: int) -> None:
@@ -112,11 +73,10 @@ def solve_exact(layer_target: int, stage_count: int, shape: ModelShape) -> Stage
     change the argmin and are deliberately not a parameter here.
     """
     _check_targets(layer_target, stage_count)
-    c1, c2 = _byte_coeffs(shape)
     L, K = layer_target, stage_count
 
     def bytes_of(prior: int, new: int) -> int:
-        return c1 * new + c2 * prior
+        return _stage_bytes(prior, new, shape)
 
     infinite = float("inf")
     # M[i] maps cumulative layer count -> minimal worst-stage bytes so far.
@@ -178,7 +138,7 @@ def equal_memory_relaxation(layer_target: int, stage_count: int,
     _check_targets(layer_target, stage_count)
     if stage_count == 1:
         return [float(layer_target)]
-    c1, c2 = _byte_coeffs(shape)
+    c1, c2 = _stage_bytes(0, 1, shape), _stage_bytes(1, 0, shape)
     q = (c1 - c2) / c1  # (14P - 16E) / 16P
     if q <= 0.0:
         raise PlanInfeasibleError(
@@ -214,9 +174,7 @@ def solve_rounded(layer_target: int, stage_count: int, shape: ModelShape) -> Sta
 
 def flops_vanilla(params: int, tokens: int) -> int:
     """Classic full-training estimate: 6 * params * tokens."""
-    if params < 0 or tokens < 0:
-        raise ValueError("params and tokens must be non-negative")
-    return FLOPS_PER_TRAINABLE_PARAM_TOKEN * params * tokens
+    return stage_flops(params, 0, tokens)
 
 
 def stage_flops(trainable_params: int, frozen_params: int, tokens: int) -> int:
@@ -233,20 +191,11 @@ def flops_staged(stages: Iterable[tuple[int, int, int]]) -> int:
 
 
 def stage_param_counts(plan, shape: ModelShape) -> list[tuple[int, int]]:
-    """Non-embedding (trainable, frozen) parameter counts for each stage.
-
-    Stage i trains its n_i new layers plus adapters on all prior layers;
-    the prior layers' own weights are frozen.
-    """
-    plan = plan if isinstance(plan, StagePlan) else StagePlan(tuple(plan))
-    p = layer_params(shape.hidden_dim)
-    e = adapter_params(shape.hidden_dim, shape.adapter_rank)
-    out = []
-    prior = 0
-    for n in plan.increments:
-        out.append((n * p + prior * e, prior * p))
-        prior += n
-    return out
+    """Non-embedding (trainable, frozen) counts of memory.stage_params per stage."""
+    plan = StagePlan.of(plan)
+    stages = (stage_params(total - new, new, shape)
+              for new, total in zip(plan.increments, plan.cumulative))
+    return [(s.trainable, s.frozen) for s in stages]
 
 
 def split_steps(total_steps: int, stage_count: int, growth_fraction: float) -> list[int]:
@@ -299,7 +248,7 @@ def token_budget(plan, shape: ModelShape, flops_budget: int,
     step, then nudges the integer total so the exact stage-split total lands
     closest to the budget (within one batch of it).
     """
-    plan = plan if isinstance(plan, StagePlan) else StagePlan(tuple(plan))
+    plan = StagePlan.of(plan)
     if flops_budget <= 0:
         raise BudgetError(f"flops_budget must be positive, got {flops_budget}")
     if batch_tokens < 1:
@@ -308,8 +257,7 @@ def token_budget(plan, shape: ModelShape, flops_budget: int,
         raise ValueError(f"growth_fraction must be in (0, 1], got {growth_fraction}")
 
     counts = stage_param_counts(plan, shape)
-    per_token = [FLOPS_PER_TRAINABLE_PARAM_TOKEN * t
-                 + FLOPS_PER_FROZEN_PARAM_TOKEN * f for t, f in counts]
+    per_token = [stage_flops(t, f, 1) for t, f in counts]
 
     # Fraction of all steps each stage receives under the recursive rule.
     k = plan.stage_count

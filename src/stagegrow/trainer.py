@@ -9,10 +9,9 @@ rewarms the learning rate back to its peak before resuming cosine decay.
 Embeddings stay trainable throughout and keep their optimizer moments.
 
 The ledger records, per stage, the exact parameter census, token and FLOPs
-spend (6 per trainable and 2 per frozen parameter-token), and a simulated
-device-memory figure at 16 bytes per trainable and 2 per frozen parameter
-slot; these reconcile exactly with the planning formulas in
-stagegrow.memory / stagegrow.planner for the same shape.
+spend (planner.stage_flops), and a simulated device-memory figure
+(memory.state_bytes) of that census; these reconcile exactly with the
+planning formulas in stagegrow.memory / stagegrow.planner for the same shape.
 """
 
 from __future__ import annotations
@@ -34,10 +33,9 @@ from .autodiff import NonFiniteError, Tensor
 from .growth import (AdapterSpec, GrowthError, GrowthSpec,
                      adapted_layer_indices, attach_adapters, freeze_layers,
                      grow, merge_adapters, new_layer_indices, reset_adapters)
-from .memory import FROZEN_BYTES, TRAINABLE_BYTES
+from .memory import state_bytes
 from .model import ModelConfig, ToyModel, build_model, param_counts
-from .planner import (FLOPS_PER_FROZEN_PARAM_TOKEN,
-                      FLOPS_PER_TRAINABLE_PARAM_TOKEN, StagePlan, split_steps)
+from .planner import StagePlan, split_steps, stage_flops
 
 
 class DivergenceError(RuntimeError):
@@ -270,9 +268,9 @@ class RunLedger:
 
 
 def simulated_bytes(model: ToyModel) -> int:
-    """16 B per trainable and 2 B per frozen parameter slot, from the live census."""
+    """memory.state_bytes of the live census."""
     counts = param_counts(model)
-    return TRAINABLE_BYTES * counts.trainable + FROZEN_BYTES * counts.frozen_layer
+    return state_bytes(counts.trainable, counts.frozen_layer)
 
 
 @dataclass
@@ -322,7 +320,7 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
     plain training loop.  A non-finite loss aborts with DivergenceError
     after flushing the ledger; non-finite gradients skip the step.
     """
-    plan = plan if isinstance(plan, StagePlan) else StagePlan(tuple(plan))
+    plan = StagePlan.of(plan)
     if model_config.layer_count != plan.increments[0]:
         raise ValueError(
             f"model_config.layer_count {model_config.layer_count} must match "
@@ -380,9 +378,6 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                 simulated_bytes=simulated_bytes(model),
                 events=events)
             ledger.stages.append(record)
-            flops_per_token = (
-                FLOPS_PER_TRAINABLE_PARAM_TOKEN * counts.trainable
-                + FLOPS_PER_FROZEN_PARAM_TOKEN * counts.frozen_layer)
 
             growth_boundaries = [sum(stage_steps[:j]) for j in range(1, stage_i)]
             steps_since_attach = 0
@@ -423,7 +418,8 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
 
                 record.steps += 1
                 record.tokens += targets.size
-                record.flops += flops_per_token * targets.size
+                record.flops += stage_flops(counts.trainable,
+                                            counts.frozen_layer, targets.size)
                 record.loss_curve.append(loss_value)
                 record.final_train_loss = loss_value
                 writer.record({"kind": "step", "step": global_step,

@@ -154,6 +154,21 @@ def test_missing_array_entry(tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda m: {k: v for k, v in m.items() if k != "blob_bytes"},
+    lambda m: {k: v for k, v in m.items() if k != "arrays"},
+    lambda m: {**m, "config": {**m["config"], "ffn_multiplier": 4}},
+    lambda m: [m],
+    lambda m: {**m, "extra": [1]},
+], ids=["no_blob_bytes", "no_arrays", "unknown_config_key", "list", "extra_list"])
+def test_malformed_manifest(tmp_path, edit):
+    save_checkpoint(make_model(), tmp_path / "ck")
+    path = tmp_path / "ck" / MANIFEST_NAME
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(CheckpointError, match="malformed manifest"):
+        load_checkpoint(tmp_path / "ck")
+
+
 def test_unexpected_array_entry(tmp_path):
     save_checkpoint(make_model(), tmp_path / "ck")
     path = tmp_path / "ck" / MANIFEST_NAME

@@ -148,6 +148,23 @@ def test_plan_token_budget_report(capsys, tmp_path):
     assert "33624 steps" in stdout
 
 
+@pytest.mark.parametrize("flags", [
+    ["--flops-budget", "inf", "--batch-tokens", "1000"],
+    ["--flops-budget", "nan", "--batch-tokens", "1000"],
+    ["--gpu-budget-bytes", "nan"],
+    ["--gpu-budget-bytes=-inf"],
+    ["--embedding-params=-10000000"],
+])
+def test_plan_rejects_out_of_range_flags(capsys, tmp_path, flags):
+    out = tmp_path / "p"
+    status, _, stderr = run_cli(
+        capsys, "plan", "--layers", "24", "--hidden", "1536", "--stages", "2",
+        "--rank", "128", *flags, "--out", str(out))
+    assert status == 2
+    assert flags[0].split("=")[0] in stderr
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["mystery"])
@@ -259,6 +276,8 @@ def test_train_missing_corpus_creates_nothing(capsys, tmp_path):
     ({"plan": {"layers": True, "stages": 1}}, "$.plan.layers"),
     ({"plan": {"layers": 4, "stages": True}}, "$.plan.stages"),
     ({"plan": {"layers": 4.0, "stages": 2}}, "$.plan.layers"),
+    ({"version": True}, "$.version"),
+    ({"version": 1.0}, "$.version"),
 ])
 def test_train_config_validation(capsys, tmp_path, small_corpus_file,
                                  overrides, fragment):
@@ -399,6 +418,20 @@ def test_eval_corrupt_checkpoint(capsys, tmp_path, small_corpus_file):
         "--corpus", str(small_corpus_file), "--out", str(tmp_path / "e.json"))
     assert status == 2
     assert "sha256" in stderr
+
+
+def test_eval_malformed_manifest(capsys, tmp_path, small_corpus_file):
+    model = build_model(ModelConfig(hidden_dim=48, layer_count=1, head_count=4),
+                        seed=0)
+    save_checkpoint(model, tmp_path / "ck")
+    manifest = tmp_path / "ck" / "manifest.json"
+    manifest.write_text(json.dumps([json.loads(manifest.read_text())]))
+    status, _, stderr = run_cli(
+        capsys, "eval", "--checkpoint", str(tmp_path / "ck"),
+        "--corpus", str(small_corpus_file), "--out", str(tmp_path / "e.json"))
+    assert status == 2
+    assert "malformed manifest" in stderr
+    assert not (tmp_path / "e.json").exists()
 
 
 # ---------------------------------------------------------------------------

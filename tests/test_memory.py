@@ -1,21 +1,27 @@
 import pytest
 
 from stagegrow.memory import (ModelShape, StageMemory, adapter_params,
-                              default_ffn_dim, embedding_params, format_gb,
-                              gigabytes, layer_params, plan_peak_bytes,
-                              stage_state_bytes, vanilla_state_bytes)
+                              embedding_params, format_gb, gigabytes,
+                              layer_params, plan_peak_bytes, stage_params,
+                              stage_state_bytes, state_bytes,
+                              vanilla_state_bytes)
+
+
+def ffn_width(d: int) -> int:
+    # The nearest integer to 8d/3; its fractional part is 0, 1/3 or 2/3.
+    return round(8 * d / 3)
 
 
 def per_layer_oracle(d: int) -> int:
     # Count the arrays directly: 4 attention (d x d), gate/up (f x d),
     # down (d x f) with f = round(8d/3), two gain vectors.
-    f = default_ffn_dim(d)
+    f = ffn_width(d)
     return 4 * d * d + 2 * f * d + d * f + 2 * d
 
 
 def per_layer_adapter_oracle(d: int, r: int) -> int:
     # One (out, r) + (r, in) pair per matrix.
-    f = default_ffn_dim(d)
+    f = ffn_width(d)
     total = 4 * (d * r + r * d)            # attention, square
     total += 2 * (f * r + r * d)           # gate, up
     total += d * r + r * f                 # down
@@ -35,7 +41,7 @@ def test_layer_params_accounting_model_off_multiples_of_three(d):
     # integer, shifting the census by exactly d while the accounting model
     # keeps the nominal fractional width.  All byte figures elsewhere use
     # the accounting model, so pin the deviation rather than hide it.
-    f = default_ffn_dim(d)
+    f = ffn_width(d)
     assert abs(8 * d - 3 * f) == 1
     assert abs(per_layer_oracle(d) - layer_params(d)) == d
 
@@ -113,6 +119,17 @@ def test_stage_bytes_known_plans(plan, d, r, expected):
     for i, n in enumerate(plan):
         prior = sum(plan[:i])
         assert expected[i] == 16 * n * p + 2 * prior * p + 16 * prior * e
+
+
+def test_stage_rule_and_byte_rate():
+    shape = ModelShape(hidden_dim=48, layer_count=7, adapter_rank=4)
+    p, e = layer_params(48), adapter_params(48, 4)
+    params = stage_params(3, 4, shape)
+    assert params == (4 * p, 3 * p, 3 * e)
+    assert params.trainable == 4 * p + 3 * e
+    assert state_bytes(1) == 16 and state_bytes(0, 1) == 2
+    assert (state_bytes(params.trainable, params.frozen)
+            == stage_state_bytes((3, 4), 2, shape).total_bytes)
 
 
 def test_first_stage_equals_vanilla():
@@ -197,15 +214,6 @@ def test_shape_validation():
         layer_params(0)
     with pytest.raises(ValueError):
         adapter_params(4, -1)
-
-
-def test_ffn_default_rounding():
-    assert default_ffn_dim(1536) == 4096
-    assert default_ffn_dim(96) == 256
-    # Non-multiples of 3 round to the nearest integer.
-    assert default_ffn_dim(4) == 11   # 32/3 = 10.67
-    assert default_ffn_dim(5) == 13   # 40/3 = 13.33
-    assert ModelShape(hidden_dim=1536, layer_count=1).ffn_dim == 4096
 
 
 def test_gigabytes_decimal():
