@@ -14,14 +14,16 @@ its own node.  Each closure saves exactly the arrays its formula reads:
 
     matmul, mul      per operand that takes a gradient, the other operand
     silu             its input (the sigmoid is recomputed)
+    silu with up     its input and up (the sigmoid and silu are recomputed)
     rms_norm         its input, the per-row 1/rms and the gain
     softmax          its own output
     cross_entropy    the forward's exp, not the logits
-    add, scale, reshape, transpose, rope, embedding, sum_all: no input array
+    add (with or without scale), scale, reshape, transpose, rope,
+    embedding, sum_all: no input array
 
 So an output that no closure reads is freed as soon as the forward drops
-its handle: in the model, the adapter path's full-width products, the raw
-attention scores, the rope inputs and the residual branches' products.
+its handle: in the model, the adapter path's full-width A-products, the
+raw attention scores, the rope inputs and the residual branches' products.
 
 A graph is backpropagated once.  `Tensor.backward` releases it as it
 walks: each node loses its closure and parents before its gradient flows
@@ -38,8 +40,8 @@ gradient a tensor receives from an op's backward is a fresh array (or a
 view of the consumed output's `.grad`, which is dropped right after), so
 `Tensor.accumulate_grad` takes it over instead of zero-filling and adding.
 An array that another consumer may still see is copied before it is
-handed over: the second operand's share of an `add` whose first operand
-took a view of the same gradient.
+handed over: the second operand's share of an unscaled `add` whose first
+operand took a view of the same gradient.
 
 `matmul` with a 2-D right operand (a weight) folds the left operand's
 leading dimensions in backward, so each gradient is one 2-D GEMM and the
@@ -52,6 +54,11 @@ buffer, in the chain's rounding order.  The graph keeps one (batch, head,
 seq, seq) output where the chain kept three, and values and gradients stay
 bit-identical to the chain's.
 
+Two more chains are one node each, also bit-identical to the chain they
+replace.  `silu(x, up)` is SwiGLU's mul(silu(x), up): the graph keeps x
+and up, not silu's output.  `add(a, b, scale)` is the adapter path's
+add(a, scale(b, s)): one node, whose b gradient is the scaled product.
+
 Every forward op validates that its output is finite and raises
 NonFiniteError otherwise, so overflow surfaces at the op that produced it
 instead of three layers later.  The probe is the output's dot product
@@ -59,11 +66,12 @@ with itself in its own dtype (one BLAS call); a non-finite result, which
 finite values can also produce when the sum of squares overflows, falls
 back to an exact element-wise check.  Four ops skip the probe because
 their output is bounded by finite input: the view ops `reshape` and
-`transpose` (a view of a checked array), `silu` (|silu(x)| <= |x|) and
-`softmax` (output in [0, 1]) when its scale is at most 1 in magnitude and
-its mask is small enough that scale * x + mask cannot overflow; any other
-`softmax` is probed.  Backward passes are not guarded: the training loop
-inspects gradients itself so it can skip a bad step rather than crash.
+`transpose` (a view of a checked array), `silu` without `up` (|silu(x)| <=
+|x|) and `softmax` (output in [0, 1]) when its scale is at most 1 in
+magnitude and its mask is small enough that scale * x + mask cannot
+overflow; any other `softmax` is probed.  Backward passes are not
+guarded: the training loop inspects gradients itself so it can skip a bad
+step rather than crash.
 """
 
 from __future__ import annotations
@@ -302,9 +310,18 @@ def _attach(out: Tensor, back) -> None:
     out._node._backward = lambda: back(ref().grad)
 
 
-def add(a: Tensor, b) -> Tensor:
+def add(a: Tensor, b, scale: float = 1.0) -> Tensor:
+    """a + b * scale; with a scale, the add(a, scale(b, s)) chain as one node.
+
+    b * scale is rounded before the sum, as the chain rounds it, so values
+    and gradients are bit-identical to the chain's.  b's gradient is
+    scaled, and the product is a fresh array; at scale 1 the product is
+    taken only when a took over a view of the same gradient.
+    """
     b = _as_tensor(b, a)
-    out = _node(a.data + b.data, (a, b), "add")
+    scale = float(scale)
+    out = _node(a.data + (b.data if scale == 1.0 else b.data * scale),
+                (a, b), "add")
     if out.requires_grad:
         na, nb = _sink(a), _sink(b)
         a_shape, b_shape = a.data.shape, b.data.shape
@@ -316,8 +333,8 @@ def add(a: Tensor, b) -> Tensor:
                 na.accumulate_grad(ga)
             if nb is not None:
                 gb = _unbroadcast(g, b_shape)
-                if ga is not None and np.may_share_memory(ga, gb):
-                    gb = gb.copy()  # a may have taken this buffer over
+                if scale != 1.0 or (ga is not None and np.may_share_memory(ga, gb)):
+                    gb = gb * scale  # a may have taken the unscaled buffer over
                 nb.accumulate_grad(gb)
         _attach(out, _back)
     return out
@@ -391,21 +408,62 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), in one buffer."""
+    s = np.negative(x, out=np.empty_like(x))  # an array even when x is 0-d
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
-def silu(x: Tensor) -> Tensor:
-    # |x * sigmoid(x)| <= |x|: finite input, finite output; no probe.
-    out = _node(x.data * _sigmoid(x.data), (x,), "silu", checked=False)
+def silu(x: Tensor, up=None) -> Tensor:
+    """x * sigmoid(x); with `up`, the mul(silu(x), up) chain as one node.
+
+    `up` (SwiGLU's up projection) must have x's shape and dtype.  The
+    product is formed as the chain forms it, (x * sigmoid(x)) * up, so
+    values and gradients are bit-identical to the chain's, but the graph
+    keeps only x and up.  Backward recomputes the sigmoid rather than keep
+    an input-sized array from forward to backward, and allocates only it
+    and up's gradient silu(x) * g; x's gradient,
+    ((g * up) * sigmoid) * (1 + x * (1 - sigmoid)), is formed in place in
+    the consumed output's gradient.
+    """
+    x_data = x.data
+    y = x_data * _sigmoid(x_data)
+    if up is None:
+        parents, up_data = (x,), None
+    else:
+        up = _as_tensor(up, x)
+        parents, up_data = (x, up), up.data
+        if up_data.shape != x_data.shape or up_data.dtype != x_data.dtype:
+            raise ValueError(f"up {up_data.shape} {up_data.dtype} must match x "
+                             f"{x_data.shape} {x_data.dtype}")
+        y *= up_data
+    # |x * sigmoid(x)| <= |x|: finite input, finite output; the product with
+    # up is probed, as mul's is.
+    out = _node(y, parents, "silu", checked=up is not None)
     if out.requires_grad:
-        nx, x_data = _sink(x), x.data
+        nx = _sink(x)
+        nup = None if up is None else _sink(up)
+        # x's gradient reads x and up; up's reads x alone.
+        saved_up = up_data if nx is not None else None
 
         def _back(g):
-            # Recomputed, not saved: one exp here against an input-sized
-            # array held from forward to backward.
             sig = _sigmoid(x_data)
-            nx.accumulate_grad(g * sig * (1.0 + x_data * (1.0 - sig)))
+            if nup is not None:
+                gu = x_data * sig
+                gu *= g
+                nup.accumulate_grad(gu)
+            if nx is not None:
+                # g is the consumed output's own gradient: overwrite it.
+                if saved_up is not None:
+                    g *= saved_up
+                g *= sig
+                np.subtract(1.0, sig, out=sig)
+                sig *= x_data
+                sig += 1.0
+                g *= sig
+                nx.accumulate_grad(g)
         _attach(out, _back)
     return out
 

@@ -380,14 +380,16 @@ def cmd_eval(args) -> int:
     model, manifest = ckpt.load_checkpoint(args.checkpoint)
     extra = manifest.get("extra", {})
 
-    def setting(flag, key, default):  # the flag, else the checkpoint's record
-        return flag if flag is not None else extra.get(key, default)
+    def setting(flag, key, hint, default):  # the flag, else the checkpoint's record
+        if flag is not None:
+            return flag
+        return _field(hint, extra.get(key, default), f"manifest extra.{key}")
 
-    vf = setting(args.validation_fraction, "validation_fraction", 0.1)
-    seq_len = setting(args.seq_len, "seq_len", TrainConfig.seq_len)
+    vf = setting(args.validation_fraction, "validation_fraction", float, 0.1)
+    seq_len = setting(args.seq_len, "seq_len", int, TrainConfig.seq_len)
     opts = EvalOptions(
-        setting(args.batch_size, "eval_batch_size", EvalOptions.batch_size),
-        setting(args.max_windows, "eval_max_windows", None))
+        setting(args.batch_size, "eval_batch_size", int, EvalOptions.batch_size),
+        setting(args.max_windows, "eval_max_windows", int | None, None))
 
     _, val_stream = data_lib.load_corpus(args.corpus, vf)
     recorded = extra.get("corpus_digest")

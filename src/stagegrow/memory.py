@@ -27,6 +27,7 @@ plan minimizes it.  Every function taking a plan normalizes it through
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,13 +59,16 @@ class StagePlan:
     increments: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        inc = tuple(int(n) for n in self.increments)
-        object.__setattr__(self, "increments", inc)
+        inc = tuple(self.increments)
         if not inc:
             raise ValueError("a plan needs at least one stage")
         for n in inc:
+            # numpy integers pass; a bool or a float (even an integral one) does not.
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise ValueError(f"every increment must be an integer, got {inc}")
             if n < 1:
                 raise ValueError(f"every stage must add at least one layer, got {inc}")
+        object.__setattr__(self, "increments", tuple(map(int, inc)))
 
     @classmethod
     def of(cls, plan) -> StagePlan:

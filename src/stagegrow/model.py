@@ -197,8 +197,7 @@ def _linear(x: Tensor, layer: LayerBlock, name: str) -> Tensor:
     adapter = layer.adapters.get(name)
     if adapter is not None:
         low = ad.matmul(x, ad.transpose(adapter.b))
-        out = ad.add(out, ad.scale(ad.matmul(low, ad.transpose(adapter.a)),
-                                   adapter.scale))
+        out = ad.add(out, ad.matmul(low, ad.transpose(adapter.a)), adapter.scale)
     return out
 
 
@@ -251,7 +250,8 @@ def forward(model: ToyModel, tokens: np.ndarray) -> Tensor:
         x = ad.add(x, _linear(mixed, layer, "w_o"))
 
         h = ad.rms_norm(x, layer.g_ffn, NORM_EPS)
-        gated = ad.mul(ad.silu(_linear(h, layer, "w_gate")), _linear(h, layer, "w_up"))
+        # One node: the graph keeps the gate and up projections, not silu's output.
+        gated = ad.silu(_linear(h, layer, "w_gate"), _linear(h, layer, "w_up"))
         x = ad.add(x, _linear(gated, layer, "w_down"))
 
     x = ad.rms_norm(x, model.final_gain, NORM_EPS)

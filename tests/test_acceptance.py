@@ -342,6 +342,16 @@ def _op_cases(seed):
     w_rope = _weighter(rng, (1, 2, 3, 4))
     cases.append(("rope", lambda t: w_rope(rope(t, cos, sin)),
                   Tensor(rng.normal(size=(1, 2, 3, 4)), requires_grad=True)))
+
+    # The fused forms the model calls: SwiGLU's silu(gate, up) and the
+    # adapter path's add(out, product, scale).
+    up = Tensor(rng.normal(size=(2, 3)))
+    cases.append(("silu-up-x", lambda t: w(silu(t, up)), t23()))
+    cases.append(("silu-up-up", lambda t: w(silu(c23, t)), t23()))
+    cases.append(("add-scaled", lambda t: w(add(c23, t, scale=-1.7)), t23()))
+    cases.append(("add-scaled-broadcast",
+                  lambda t: w(add(c23, t, scale=0.3)),
+                  Tensor(rng.normal(size=(3,)), requires_grad=True)))
     return cases
 
 
@@ -349,7 +359,8 @@ def test_gradient_correctness():
     with criterion(8, "gradient correctness") as info:
         worst = 0.0
         for seed in range(100):
-            for name, f, x in _op_cases(seed):
+            cases = _op_cases(seed)
+            for name, f, x in cases:
                 report = grad_check(f, x, tolerance=1e-3)
                 assert report.passed, (name, seed, report)
                 worst = max(worst, report.max_rel_error)
@@ -388,7 +399,7 @@ def test_gradient_correctness():
             rel = abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-12)
             assert rel < 1e-3, (name, idx, fd, analytic)
             worst_model = max(worst_model, rel)
-        info["detail"] = (f"16 ops x 100 seeds, worst rel {worst:.1e}; "
+        info["detail"] = (f"{len(cases)} op cases x 100 seeds, worst rel {worst:.1e}; "
                           f"model spot check worst rel {worst_model:.1e}")
 
 

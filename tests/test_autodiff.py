@@ -227,6 +227,70 @@ def test_fused_softmax_is_bit_identical_to_scale_add_softmax(dtype, seq):
     assert np.array_equal(x_fused.grad, x_chain.grad)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_silu_is_bit_identical_to_mul_of_silu(dtype):
+    rng = np.random.default_rng(3)
+    shape = (2, 5, 24)
+    gate = (rng.standard_normal(shape) * 4.0).astype(dtype)
+    up = rng.standard_normal(shape).astype(dtype)
+    w = Tensor(rng.standard_normal(shape).astype(dtype))
+    fused_in = [Tensor(a.copy(), requires_grad=True) for a in (gate, up)]
+    chain_in = [Tensor(a.copy(), requires_grad=True) for a in (gate, up)]
+    fused = silu(*fused_in)
+    chain = mul(silu(chain_in[0]), chain_in[1])
+    assert fused.dtype == chain.dtype == dtype
+    assert np.array_equal(fused.data, chain.data)
+    sum_all(mul(fused, w)).backward()
+    sum_all(mul(chain, w)).backward()
+    for f, c in zip(fused_in, chain_in):
+        assert f.grad.dtype == c.grad.dtype == dtype
+        assert np.array_equal(f.grad, c.grad)
+
+
+def test_fused_silu_takes_a_gradient_for_either_operand_alone():
+    rng = np.random.default_rng(4)
+    gate, up = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    for grad_of in (0, 1):
+        fused_in = [Tensor(a.copy(), requires_grad=i == grad_of)
+                    for i, a in enumerate((gate, up))]
+        chain_in = [Tensor(a.copy(), requires_grad=i == grad_of)
+                    for i, a in enumerate((gate, up))]
+        sum_all(silu(*fused_in)).backward()
+        sum_all(mul(silu(chain_in[0]), chain_in[1])).backward()
+        assert np.array_equal(fused_in[grad_of].grad, chain_in[grad_of].grad)
+        assert fused_in[1 - grad_of].grad is None
+
+
+def test_fused_silu_rejects_a_mismatched_up():
+    x = Tensor(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        silu(x, Tensor(np.ones(3)))
+    with pytest.raises(ValueError):
+        silu(x, Tensor(np.ones((2, 3), dtype=np.float32)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b_shape", [(2, 5, 24), (24,), (5, 1)])
+@pytest.mark.parametrize("s", [0.37, 1.0])
+def test_scaled_add_is_bit_identical_to_add_of_scale(dtype, b_shape, s):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((2, 5, 24)).astype(dtype)
+    b = rng.standard_normal(b_shape).astype(dtype)
+    w = Tensor(rng.standard_normal((2, 5, 24)).astype(dtype))
+    fused_in = [Tensor(v.copy(), requires_grad=True) for v in (a, b)]
+    chain_in = [Tensor(v.copy(), requires_grad=True) for v in (a, b)]
+    fused = add(fused_in[0], fused_in[1], scale=s)
+    chain = add(chain_in[0], scale(chain_in[1], s))
+    assert fused.dtype == chain.dtype == dtype
+    assert np.array_equal(fused.data, chain.data)
+    sum_all(mul(fused, w)).backward()
+    sum_all(mul(chain, w)).backward()
+    for f, c in zip(fused_in, chain_in):
+        assert f.grad.dtype == c.grad.dtype == dtype
+        assert np.array_equal(f.grad, c.grad)
+    assert not np.shares_memory(fused_in[0].grad, fused_in[1].grad)
+
+
 def test_fused_softmax_causal_rows():
     seq = 7
     x = Tensor(np.random.default_rng(2).standard_normal((2, 3, seq, seq)) * 10.0)
@@ -521,37 +585,35 @@ def test_graph_without_backward_is_freed_without_cycle_collector():
 
 def test_forward_keeps_only_what_backward_reads(monkeypatch):
     # An op output that no backward closure reads dies as soon as the
-    # forward drops it: the adapter path's full-width product and its
-    # scaled copy, the raw attention scores (softmax keeps its own output)
-    # and the w_o product (the residual add keeps nothing).  rms_norm
-    # keeps its input.
+    # forward drops it: the adapter path's full-width A-product (the scaled
+    # add keeps nothing), the raw attention scores (softmax keeps its own
+    # output) and the w_o product (the residual add keeps nothing).
+    # rms_norm keeps its input.
     model = staged_model()
     rng = np.random.default_rng(0)
     ids = rng.integers(0, 256, size=(2, 16))
     targets = rng.integers(0, 256, size=(2, 16))
     w_o = {id(layer.w_o.data) for layer in model.layers}
-    refs = {"scale": [], "scores": [], "w_o": [], "norm_input": []}
-    orig_scale, orig_matmul, orig_norm = (autodiff.scale, autodiff.matmul,
-                                          autodiff.rms_norm)
-
-    def scale_(a, s):
-        out = orig_scale(a, s)
-        refs["scale"] += [weakref.ref(a.data), weakref.ref(out.data)]
-        return out
+    adapter_a = {id(ad.a.data) for layer in model.layers
+                 for ad in layer.adapters.values()}
+    refs = {"a_product": [], "scores": [], "w_o": [], "norm_input": []}
+    orig_matmul, orig_norm = autodiff.matmul, autodiff.rms_norm
 
     def matmul_(a, b):
         out = orig_matmul(a, b)
+        base = id(b.data.base) if b.data.base is not None else None
         if out.data.shape == (2, 4, 16, 16):
             refs["scores"].append(weakref.ref(out.data))
-        elif b.data.base is not None and id(b.data.base) in w_o:
+        elif base in w_o:
             refs["w_o"].append(weakref.ref(out.data))
+        elif base in adapter_a:
+            refs["a_product"].append(weakref.ref(out.data))
         return out
 
     def rms_norm_(x, gain, eps=1e-5):
         refs["norm_input"].append(weakref.ref(x.data))
         return orig_norm(x, gain, eps)
 
-    monkeypatch.setattr(autodiff, "scale", scale_)
     monkeypatch.setattr(autodiff, "matmul", matmul_)
     monkeypatch.setattr(autodiff, "rms_norm", rms_norm_)
     gc.collect()
@@ -559,8 +621,8 @@ def test_forward_keeps_only_what_backward_reads(monkeypatch):
     try:
         logits = forward(model, ids)
         assert {k: len(v) for k, v in refs.items()} == {
-            "scale": 14, "scores": 2, "w_o": 2, "norm_input": 5}
-        for kind in ("scale", "scores", "w_o"):
+            "a_product": 7, "scores": 2, "w_o": 2, "norm_input": 5}
+        for kind in ("a_product", "scores", "w_o"):
             assert all(r() is None for r in refs[kind]), kind
         assert all(r() is not None for r in refs["norm_input"])
         cross_entropy(logits, targets).backward()
@@ -568,6 +630,35 @@ def test_forward_keeps_only_what_backward_reads(monkeypatch):
         gc.enable()
     for name, t in trainable_parameters(model):
         assert t.grad is not None and t.grad.shape == t.data.shape, name
+
+
+def test_forward_keeps_three_ffn_width_arrays_per_layer(monkeypatch):
+    # SwiGLU is one node that saves the gate pre-activation and up, not
+    # silu's output; the w_down product (and its adapter) keeps the gated
+    # product.  Every other (batch, seq, ffn) array dies in forward.
+    model = staged_model()
+    cfg = model.config
+    ids = np.random.default_rng(0).integers(0, 256, size=(2, 16))
+    ffn_shape = (2, 16, cfg.ffn_dim)
+    made = []
+    orig = autodiff._node
+
+    def recording(data, parents, op, checked=True):
+        out = orig(data, parents, op, checked)
+        if out.data.shape == ffn_shape:
+            made.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(autodiff, "_node", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        logits = forward(model, ids)
+        alive = sum(r() is not None for r in made)
+        assert alive == 3 * cfg.layer_count, (alive, len(made))
+        del logits
+    finally:
+        gc.enable()
 
 
 def test_replaced_backward_closure_is_called(monkeypatch):
@@ -611,7 +702,8 @@ def test_no_grad_records_nothing():
     table = leaf(rng, 10, 6)
     theta = rng.standard_normal((4, 6))
     with no_grad():
-        outs = [add(x, x), mul(x, x), scale(x, 2.0), matmul(x, w), silu(x),
+        outs = [add(x, x), add(x, x, scale=0.5), mul(x, x), scale(x, 2.0),
+                matmul(x, w), silu(x), silu(x, x),
                 softmax(x), softmax(x, 0.5, np.zeros((4, 6))),
                 rms_norm(x, leaf(rng, 6)),
                 embedding(table, np.array([1, 2])),

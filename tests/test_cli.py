@@ -434,6 +434,23 @@ def test_eval_malformed_manifest(capsys, tmp_path, small_corpus_file):
     assert not (tmp_path / "e.json").exists()
 
 
+@pytest.mark.parametrize("key,value", [("seq_len", "16"), ("seq_len", 16.0),
+                                       ("validation_fraction", "0.1"),
+                                       ("eval_batch_size", True),
+                                       ("eval_max_windows", [4])])
+def test_eval_rejects_mistyped_checkpoint_settings(capsys, tmp_path, small_corpus_file,
+                                                   key, value):
+    model = build_model(ModelConfig(hidden_dim=48, layer_count=1, head_count=4,
+                                    max_seq_len=32), seed=0)
+    save_checkpoint(model, tmp_path / "ck", extra={"seq_len": 16, key: value})
+    status, _, stderr = run_cli(
+        capsys, "eval", "--checkpoint", str(tmp_path / "ck"),
+        "--corpus", str(small_corpus_file), "--out", str(tmp_path / "e.json"))
+    assert status == 2
+    assert f"extra.{key}: expected" in stderr
+    assert not (tmp_path / "e.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from stagegrow.memory import (ModelShape, StageMemory, adapter_params,
+from stagegrow.memory import (ModelShape, StageMemory, StagePlan, adapter_params,
                               embedding_params, format_gb, gigabytes,
                               layer_params, plan_peak_bytes, stage_params,
                               stage_state_bytes, state_bytes,
@@ -201,6 +202,22 @@ def test_invalid_plan_rejected():
         stage_state_bytes((2, 0), 1, shape)
     with pytest.raises(ValueError):
         plan_peak_bytes((), shape)
+
+
+@pytest.mark.parametrize("increments", [(2.7, 1), (2, True), (True,), (2.0, 2),
+                                        (np.float64(2.0),), ("2",)])
+def test_plan_rejects_non_integer_increments(increments):
+    with pytest.raises(ValueError, match="integer"):
+        StagePlan(increments)
+    with pytest.raises(ValueError, match="integer"):
+        stage_state_bytes(increments, 1, ModelShape(hidden_dim=48, layer_count=4))
+
+
+def test_plan_takes_numpy_integers_as_python_ints():
+    plan = StagePlan((np.int64(3), np.uint8(2)))
+    assert plan.increments == (3, 2)
+    assert all(type(n) is int for n in plan.increments)
+    assert plan == StagePlan((3, 2))
 
 
 def test_shape_validation():
