@@ -6,11 +6,12 @@ Ops are dtype-generic (float32 for training, float64 for gradient checks)
 with reductions accumulated in float64 where it matters numerically.
 
 Graph bookkeeping is kept apart from values, as PyTorch keeps a tensor
-apart from its grad_fn and saved tensors.  An op output's `Tensor` holds
-its array.  What its consumers link to is a `_Node`, which holds no data:
-the output's gradient, the nodes of its inputs that take a gradient, and
-its backward closure.  A leaf (a parameter, or any tensor no op made) is
-its own node.  Each closure saves exactly the arrays its formula reads:
+apart from its grad_fn and saved tensors.  A `Tensor` holds its array;
+every tensor that takes a gradient also has a `_Node`, which holds no
+data: the gradient, the nodes of the inputs that take a gradient, and the
+backward closure.  A leaf's node has no parents.  Clearing `requires_grad`
+drops the node, gradient included.  Each closure saves exactly the arrays
+its formula reads:
 
     matmul, mul      per operand that takes a gradient, the other operand
     silu             its input (the sigmoid is recomputed)
@@ -28,7 +29,7 @@ raw attention scores, the rope inputs and the residual branches' products.
 A graph is backpropagated once.  `Tensor.backward` releases it as it
 walks: each node loses its closure and parents before its gradient flows
 on, and an interior node's `.grad` is dropped once consumed, so reference
-counting alone frees every array the graph saved.  Leaves keep their
+counting alone frees every array the graph saved.  Leaf nodes keep their
 `.grad`.  A backward closure reaches its own node only through a weak
 reference, so a graph that is built but never backpropagated holds no
 reference cycle either: dropping its output frees it.  Inside `no_grad()`
@@ -38,7 +39,7 @@ Evaluation runs there.
 Gradient ownership: no two tensors' `.grad` share memory.  The first
 gradient a tensor receives from an op's backward is a fresh array (or a
 view of the consumed output's `.grad`, which is dropped right after), so
-`Tensor.accumulate_grad` takes it over instead of zero-filling and adding.
+`_Node.accumulate_grad` takes it over instead of zero-filling and adding.
 An array that another consumer may still see is copied before it is
 handed over: the second operand's share of an unscaled `add` whose first
 operand took a view of the same gradient.
@@ -130,30 +131,50 @@ def _ensure_finite(data: np.ndarray, op: str) -> None:
 class Tensor:
     """An array, and the handle to its node in the autodiff graph.
 
-    A leaf (a tensor no op made, such as a parameter) is its own node and
-    keeps its own .grad.  An op output that requires grad links to a
-    `_Node`, which holds its gradient, parents and backward closure but not
-    its data; .grad, ._parents and ._backward read and write that node.
+    requires_grad means "has a `_Node`"; clearing it drops the node and its
+    gradient, so a tensor that takes no gradient never holds one.  A leaf's
+    node keeps .grad across backward.  .grad, ._parents and ._backward read
+    and write the node.
     """
 
-    __slots__ = ("data", "requires_grad", "_grad", "_node", "__weakref__")
+    __slots__ = ("_data", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data)
-        self.requires_grad = bool(requires_grad)
-        self._grad: np.ndarray | None = None
         self._node: _Node | None = None
+        self.data = data
+        self.requires_grad = requires_grad
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value) -> None:
+        self._data = np.asarray(value)
+        if self._node is not None:  # a gradient takes its tensor's dtype
+            self._node.dtype = self._data.dtype
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        if not value:
+            self._node = None
+        elif self._node is None:
+            self._node = _Node(self._data.dtype, ())
 
     @property
     def grad(self) -> np.ndarray | None:
-        return self._grad if self._node is None else self._node.grad
+        return None if self._node is None else self._node.grad
 
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
-        if self._node is None:
-            self._grad = value
-        else:
+        if self._node is not None:
             self._node.grad = value
+        elif value is not None:
+            raise ValueError("a tensor that does not require grad holds no gradient")
 
     @property
     def _parents(self) -> tuple:
@@ -182,16 +203,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add g into .grad; the first call takes g over as .grad, uncopied.
-
-        Pass only an array that no other tensor or caller sees afterwards.
-        """
-        if self.grad is None:
-            self.grad = g if g.dtype == self.dtype else g.astype(self.dtype)
-        else:
-            self.grad += g
-
     def __add__(self, other):
         return add(self, other)
 
@@ -213,11 +224,13 @@ class Tensor:
         The graph is consumed: each node is detached (no closure, no
         parents) before its gradient flows on, and interior nodes drop
         their .grad afterwards.  Leaves keep theirs.  A second call on the
-        same output therefore reaches nothing.
+        same output, or any call on a tensor without grad, reaches nothing.
         """
         if self.data.size != 1:
             raise ValueError(f"backward needs a scalar, got shape {self.data.shape}")
-        root = self if self._node is None else self._node
+        root = self._node
+        if root is None:
+            return
         topo: list = []
         seen: set[int] = set()
         stack: list = [(root, False)]
@@ -245,11 +258,11 @@ class Tensor:
 
 
 class _Node:
-    """What the graph keeps of an op output: no data, only what backward needs.
+    """What the graph keeps of a tensor that takes a gradient: no data.
 
-    Its dtype (so a gradient is cast as the output's would be), its
-    gradient, the nodes of the inputs that take a gradient, and the
-    backward closure.
+    Its dtype (so a gradient is cast as the tensor's data would be), its
+    gradient, the nodes of the inputs that take a gradient (none for a
+    leaf), and the backward closure (None for a leaf).
     """
 
     __slots__ = ("dtype", "grad", "_parents", "_backward", "__weakref__")
@@ -260,14 +273,12 @@ class _Node:
         self._parents = parents
         self._backward = None
 
-    accumulate_grad = Tensor.accumulate_grad  # same rule, on the node's slots
-
-
-def _sink(t: Tensor) -> Tensor | _Node | None:
-    """The node t's gradient accumulates into, or None if it takes none."""
-    if not t.requires_grad:
-        return None
-    return t if t._node is None else t._node
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add g into .grad; the first g, which no one else may hold, becomes .grad."""
+        if self.grad is None:
+            self.grad = g if g.dtype == self.dtype else g.astype(self.dtype)
+        else:
+            self.grad += g
 
 
 def _as_tensor(x, like: Tensor) -> Tensor:
@@ -292,9 +303,8 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
         _ensure_finite(data, op)
     out = Tensor(data)
     if _GRAD_ENABLED.get():
-        linked = tuple(n for n in map(_sink, parents) if n is not None)
+        linked = tuple(p._node for p in parents if p._node is not None)
         if linked:
-            out.requires_grad = True
             out._node = _Node(out.data.dtype, linked)
     return out
 
@@ -323,7 +333,7 @@ def add(a: Tensor, b, scale: float = 1.0) -> Tensor:
     out = _node(a.data + (b.data if scale == 1.0 else b.data * scale),
                 (a, b), "add")
     if out.requires_grad:
-        na, nb = _sink(a), _sink(b)
+        na, nb = a._node, b._node
         a_shape, b_shape = a.data.shape, b.data.shape
 
         def _back(g):
@@ -344,7 +354,7 @@ def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out = _node(a.data * b.data, (a, b), "mul")
     if out.requires_grad:
-        na, nb = _sink(a), _sink(b)
+        na, nb = a._node, b._node
         a_shape, b_shape = a.data.shape, b.data.shape
         # Each operand's gradient reads the other operand.
         a_data = a.data if nb is not None else None
@@ -362,7 +372,7 @@ def mul(a: Tensor, b) -> Tensor:
 def scale(a: Tensor, s: float) -> Tensor:
     out = _node(a.data * s, (a,), "scale")
     if out.requires_grad:
-        na = _sink(a)
+        na = a._node
 
         def _back(g):
             na.accumulate_grad(g * s)
@@ -375,7 +385,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul operands must have ndim >= 2")
     out = _node(a.data @ b.data, (a, b), "matmul")
     if out.requires_grad:
-        na, nb = _sink(a), _sink(b)
+        na, nb = a._node, b._node
         a_shape, b_shape = a.data.shape, b.data.shape
         # Each operand's gradient reads the other operand: a frozen weight
         # saves no input, and a constant operand saves nothing.
@@ -443,8 +453,8 @@ def silu(x: Tensor, up=None) -> Tensor:
     # up is probed, as mul's is.
     out = _node(y, parents, "silu", checked=up is not None)
     if out.requires_grad:
-        nx = _sink(x)
-        nup = None if up is None else _sink(up)
+        nx = x._node
+        nup = None if up is None else up._node
         # x's gradient reads x and up; up's reads x alone.
         saved_up = up_data if nx is not None else None
 
@@ -497,7 +507,7 @@ def softmax(x: Tensor, scale: float = 1.0, mask=None) -> Tensor:
     y /= y.sum(axis=-1, keepdims=True)
     out = _node(y, (x,), "softmax", checked=not bounded)
     if out.requires_grad:
-        nx = _sink(x)
+        nx = x._node
 
         def _back(g):
             # g is the consumed output's own gradient: overwrite it.
@@ -521,7 +531,7 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     inv = 1.0 / np.sqrt(ms + eps)
     out = _node(x_data * inv * gain.data, (x, gain), "rms_norm")
     if out.requires_grad:
-        nx, ngain = _sink(x), _sink(gain)
+        nx, ngain = x._node, gain._node
         gain_data, gain_shape = gain.data, gain.data.shape
 
         def _back(g):
@@ -545,7 +555,7 @@ def embedding(weight: Tensor, ids) -> Tensor:
         raise ValueError(f"ids out of range for vocab {vocab}")
     out = _node(weight.data[ids], (weight,), "embedding")
     if out.requires_grad:
-        nw = _sink(weight)
+        nw = weight._node
         w_shape, w_dtype = weight.data.shape, weight.data.dtype
 
         def _back(g):
@@ -581,7 +591,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     losses = (lse - picked).astype(np.float64)
     out = _node(np.asarray(losses.mean()), (logits,), "cross_entropy")
     if out.requires_grad:
-        nl, logits_shape = _sink(logits), logits.data.shape
+        nl, logits_shape = logits._node, logits.data.shape
 
         def _back(g):
             probs = ex  # the forward's exp, normalized in place: runs once
@@ -596,7 +606,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = _node(x.data.reshape(shape), (x,), "reshape", checked=False)
     if out.requires_grad:
-        nx, x_shape = _sink(x), x.data.shape
+        nx, x_shape = x._node, x.data.shape
 
         def _back(g):
             nx.accumulate_grad(g.reshape(x_shape))
@@ -608,7 +618,7 @@ def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     axes = tuple(axes) if axes is not None else tuple(reversed(range(x.data.ndim)))
     out = _node(x.data.transpose(axes), (x,), "transpose", checked=False)
     if out.requires_grad:
-        nx, inverse = _sink(x), tuple(np.argsort(axes))
+        nx, inverse = x._node, tuple(np.argsort(axes))
 
         def _back(g):
             nx.accumulate_grad(g.transpose(inverse))
@@ -634,7 +644,7 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
             f"cos/sin shape {cos.shape} must equal {x.data.shape[-2:]}")
     out = _node(x.data * cos + _rotate_half(x.data) * sin, (x,), "rope")
     if out.requires_grad:
-        nx = _sink(x)
+        nx = x._node
 
         def _back(g):
             gs = g * sin
@@ -649,7 +659,7 @@ def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar of the same dtype."""
     out = _node(np.asarray(x.data.sum()), (x,), "sum_all")
     if out.requires_grad:
-        nx, x_shape = _sink(x), x.data.shape
+        nx, x_shape = x._node, x.data.shape
 
         def _back(g):
             nx.accumulate_grad(np.broadcast_to(g, x_shape).copy())

@@ -2,10 +2,12 @@
 
 The manifest records the model config, adapter metadata, optional free-form
 extra metadata, and a table of every parameter array (name, shape, frozen
-flag, byte offset into the blob) in deterministic order; params.bin holds
-the arrays back to back as little-endian float32 in that order.  The
-manifest stores the blob's sha256 and the loader verifies it, so loading a
-checkpoint either reproduces the saved model bit-for-bit or fails loudly.
+flag, byte offset into the blob) in deterministic order.  An array is
+frozen when it takes no gradient; only a layer's own arrays may be, and
+then all nine of them.  params.bin holds the arrays back to back as
+little-endian float32 in that order.  The manifest stores the blob's
+sha256 and the loader verifies it, so loading a checkpoint either
+reproduces the saved model bit-for-bit or fails loudly.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .model import (MATRIX_NAMES, Adapter, LayerBlock, ModelConfig, ToyModel,
-                    named_parameters, rope_cache)
+from .model import (LAYER_TENSOR_NAMES, MATRIX_NAMES, Adapter, LayerBlock,
+                    ModelConfig, ToyModel, named_parameters, rope_cache)
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -35,12 +37,6 @@ class DigestError(CheckpointError):
     """Blob bytes do not match the digest recorded in the manifest."""
 
 
-def _array_frozen(model: ToyModel, name: str) -> bool:
-    if name.startswith("layers.") and ".adapters." not in name:
-        return model.layers[int(name.split(".")[1])].frozen
-    return False
-
-
 def save_checkpoint(model: ToyModel, directory: str | Path,
                     extra: dict | None = None) -> Path:
     """Write manifest.json and params.bin into `directory`; returns it."""
@@ -50,23 +46,18 @@ def save_checkpoint(model: ToyModel, directory: str | Path,
     table = []
     pieces = []
     offset = 0
-    adapter_meta = None
     for name, tensor in named_parameters(model):
         raw = np.ascontiguousarray(tensor.data, dtype=BLOB_DTYPE).tobytes()
         table.append({
             "name": name,
             "shape": list(tensor.data.shape),
-            "frozen": _array_frozen(model, name),
+            "frozen": not tensor.requires_grad,
             "offset": offset,
         })
         pieces.append(raw)
         offset += len(raw)
-    for layer in model.layers:
-        for adapter in layer.adapters.values():
-            adapter_meta = {"rank": adapter.rank, "scale": adapter.scale}
-            break
-        if adapter_meta:
-            break
+    adapter_meta = next(({"rank": a.rank, "scale": a.scale} for layer in model.layers
+                         for a in layer.adapters.values()), None)
 
     blob = b"".join(pieces)
     manifest = {
@@ -127,37 +118,35 @@ def _rebuild(manifest: dict, blob: bytes) -> ToyModel:
         raise DigestError("blob sha256 does not match the manifest")
 
     config = ModelConfig(**manifest["config"])
-    arrays = {e["name"]: _read_array(blob, e) for e in manifest["arrays"]}
-    frozen = {e["name"]: e["frozen"] for e in manifest["arrays"]}
+    arrays = {e["name"]: (_read_array(blob, e), e["frozen"])
+              for e in manifest["arrays"]}
 
-    def take(name: str) -> np.ndarray:
+    def take(name: str, can_freeze: bool = False) -> Tensor:
         if name not in arrays:
             raise CheckpointError(f"manifest is missing array {name}")
-        return arrays.pop(name)
+        data, frozen = arrays.pop(name)
+        if type(frozen) is not bool or (frozen and not can_freeze):
+            raise CheckpointError(f"array {name} cannot have frozen {frozen!r}")
+        return Tensor(data, requires_grad=not frozen)
 
-    embed = Tensor(take("embed"), requires_grad=True)
-    unembed = None
-    if not config.tied_embeddings:
-        unembed = Tensor(take("unembed"), requires_grad=True)
-    final_gain = Tensor(take("final_gain"), requires_grad=True)
+    embed = take("embed")
+    unembed = None if config.tied_embeddings else take("unembed")
+    final_gain = take("final_gain")
 
     adapter_meta = manifest.get("adapter")
     layers = []
     for i in range(config.layer_count):
         prefix = f"layers.{i}."
-        fields = {n: Tensor(take(prefix + n), requires_grad=True)
-                  for n in (*MATRIX_NAMES, "g_attn", "g_ffn")}
-        layer = LayerBlock(**fields)
-        if frozen[prefix + "w_q"]:
-            layer.set_frozen(True)
+        layer = LayerBlock(**{n: take(prefix + n, can_freeze=True) for n in LAYER_TENSOR_NAMES})
+        if len({t.requires_grad for t in layer.all_tensors().values()}) > 1:
+            raise CheckpointError(f"layer {i}'s arrays disagree on frozen")
         for m_name in MATRIX_NAMES:
             a_name = f"{prefix}adapters.{m_name}.a"
             if a_name in arrays:
                 if adapter_meta is None:
                     raise CheckpointError("adapter arrays without adapter metadata")
                 layer.adapters[m_name] = Adapter(
-                    a=Tensor(take(a_name), requires_grad=True),
-                    b=Tensor(take(f"{prefix}adapters.{m_name}.b"), requires_grad=True),
+                    a=take(a_name), b=take(f"{prefix}adapters.{m_name}.b"),
                     scale=adapter_meta["scale"])
         layers.append(layer)
     if arrays:

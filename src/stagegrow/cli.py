@@ -151,7 +151,7 @@ def load_run_config(path: str | Path) -> tuple[
             or not all(isinstance(p, str) for p in corpus)):
         raise ConfigError("$.corpus: expected a path or non-empty list of paths")
     cfg["corpus"] = corpus
-    vf = cfg.get("validation_fraction", 0.1)
+    vf = cfg.get("validation_fraction", data_lib.VALIDATION_FRACTION)
     if not isinstance(vf, (int, float)) or not 0.0 < vf < 1.0:
         raise ConfigError("$.validation_fraction: expected a number in (0, 1)")
 
@@ -342,7 +342,7 @@ def cmd_train(args) -> int:
     if run_dir.exists():
         raise ConfigError(f"run_dir already exists: {run_dir}")
 
-    vf = cfg.get("validation_fraction", 0.1)
+    vf = cfg.get("validation_fraction", data_lib.VALIDATION_FRACTION)
     train_stream, val_stream = data_lib.load_corpus(cfg["corpus"], vf)
 
     run_dir.mkdir(parents=True)
@@ -385,7 +385,8 @@ def cmd_eval(args) -> int:
             return flag
         return _field(hint, extra.get(key, default), f"manifest extra.{key}")
 
-    vf = setting(args.validation_fraction, "validation_fraction", float, 0.1)
+    vf = setting(args.validation_fraction, "validation_fraction", float,
+                 data_lib.VALIDATION_FRACTION)
     seq_len = setting(args.seq_len, "seq_len", int, TrainConfig.seq_len)
     opts = EvalOptions(
         setting(args.batch_size, "eval_batch_size", int, EvalOptions.batch_size),
@@ -442,7 +443,7 @@ def cmd_ablate(args) -> int:
     if root.exists():
         raise ConfigError(f"output directory already exists: {root}")
 
-    vf = cfg.get("validation_fraction", 0.1)
+    vf = cfg.get("validation_fraction", data_lib.VALIDATION_FRACTION)
     train_stream, val_stream = data_lib.load_corpus(cfg["corpus"], vf)
 
     rows = []

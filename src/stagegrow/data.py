@@ -40,8 +40,12 @@ class TokenStream:
         return int(self.ids.size)
 
 
+VALIDATION_FRACTION = 0.1  # the corpus tail held out unless a run sets its own
+
+
 def load_corpus(paths: str | Path | Sequence[str | Path],
-                validation_fraction: float = 0.1) -> tuple[TokenStream, TokenStream]:
+                validation_fraction: float = VALIDATION_FRACTION
+                ) -> tuple[TokenStream, TokenStream]:
     """Read files as bytes, concatenate, split off the tail for validation."""
     if isinstance(paths, (str, Path)):
         paths = [paths]

@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tensor
-from .model import (INIT_STD, MATRIX_NAMES, RESIDUAL_OUTPUT_NAMES, Adapter,
-                    LayerBlock, ToyModel)
+from .model import (INIT_STD, LAYER_TENSOR_NAMES, MATRIX_NAMES,
+                    RESIDUAL_OUTPUT_NAMES, Adapter, LayerBlock, ToyModel)
 
 POSITIONS = ("upper", "intermediate", "lower", "random")
 INITS = ("copy", "mean")
@@ -113,11 +113,11 @@ def _mean_tensor(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _make_layer(below: LayerBlock, above: LayerBlock | None, init: str) -> LayerBlock:
-    names = (*MATRIX_NAMES, "g_attn", "g_ffn")
     if init == "mean" and above is not None:
-        tensors = {n: _mean_tensor(getattr(below, n), getattr(above, n)) for n in names}
+        tensors = {n: _mean_tensor(getattr(below, n), getattr(above, n))
+                   for n in LAYER_TENSOR_NAMES}
     else:  # copy, or mean with nothing above
-        tensors = {n: _clone_tensor(getattr(below, n)) for n in names}
+        tensors = {n: _clone_tensor(getattr(below, n)) for n in LAYER_TENSOR_NAMES}
     return LayerBlock(**tensors)
 
 
@@ -204,7 +204,7 @@ def merge_adapters(model: ToyModel) -> ToyModel:
 
 def reset_adapters(model: ToyModel, spec: AdapterSpec, seed: int) -> ToyModel:
     """Merge current adapters, then attach fresh ones to the same layers."""
-    adapted = [i for i, layer in enumerate(model.layers) if layer.adapters]
+    adapted = adapted_layer_indices(model)
     merge_adapters(model)
     return attach_adapters(model, adapted, spec, seed)
 

@@ -27,6 +27,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 MATRIX_NAMES = ("w_q", "w_k", "w_v", "w_o", "w_gate", "w_up", "w_down")
+LAYER_TENSOR_NAMES = (*MATRIX_NAMES, "g_attn", "g_ffn")
 RESIDUAL_OUTPUT_NAMES = ("w_o", "w_down")  # zeroing these silences a layer
 INIT_STD = 0.02
 NORM_EPS = 1e-5
@@ -57,6 +58,8 @@ class ModelConfig:
             raise ValueError(f"layer_count must be >= 1, got {self.layer_count}")
         if self.vocab_size < 1 or self.max_seq_len < 1:
             raise ValueError("vocab_size and max_seq_len must be >= 1")
+        if self.rope_base <= 0:
+            raise ValueError(f"rope_base must be > 0, got {self.rope_base}")
 
     @property
     def head_dim(self) -> int:
@@ -85,7 +88,7 @@ class Adapter:
 
 @dataclass
 class LayerBlock:
-    """One decoder layer: weight tensors, norm gains, frozen flag, adapters."""
+    """One decoder layer: weight tensors, norm gains, adapters."""
 
     w_q: Tensor
     w_k: Tensor
@@ -96,20 +99,17 @@ class LayerBlock:
     w_down: Tensor
     g_attn: Tensor
     g_ffn: Tensor
-    frozen: bool = False
     adapters: dict[str, Adapter] = field(default_factory=dict)
 
-    def matrices(self) -> dict[str, Tensor]:
-        return {name: getattr(self, name) for name in MATRIX_NAMES}
-
     def all_tensors(self) -> dict[str, Tensor]:
-        out = self.matrices()
-        out["g_attn"] = self.g_attn
-        out["g_ffn"] = self.g_ffn
-        return out
+        return {name: getattr(self, name) for name in LAYER_TENSOR_NAMES}
 
-    def set_frozen(self, frozen: bool) -> None:
-        self.frozen = frozen
+    @property
+    def frozen(self) -> bool:
+        """Whether none of the layer's own tensors takes a gradient."""
+        return not any(t.requires_grad for t in self.all_tensors().values())
+
+    def set_frozen(self, frozen: bool) -> None:  # freezing drops the gradients
         for t in self.all_tensors().values():
             t.requires_grad = not frozen
 

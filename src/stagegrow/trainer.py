@@ -69,6 +69,10 @@ class TrainConfig:
             raise ValueError("restart_warmup_steps must be >= 0")
         if self.peak_lr <= 0:
             raise ValueError(f"peak_lr must be positive, got {self.peak_lr}")
+        if not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ValueError(f"betas must lie in [0, 1), got {list(self.betas)}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
         # 1.0 allowed deliberately: growth fires at the very end and the
         # final stage trains for zero steps (the 100% timing ablation cell).
         if not 0.0 < self.growth_fraction <= 1.0:
@@ -344,6 +348,12 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
             stage_start = time.perf_counter()
             events: list[dict] = []
 
+            def note(event: str, **fields) -> None:  # into the ledger and the log
+                entry = {"kind": "event", "event": event, "step": global_step,
+                         "stage": stage_i, **fields}
+                events.append(entry)
+                writer.record(entry)
+
             if stage_i > 1:
                 # Boundary: merge adapters, grow, freeze old, fresh adapters.
                 merge_adapters(model)
@@ -361,11 +371,7 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                 if adapter_spec is not None:
                     attach_adapters(model, old, adapter_spec,
                                     seed=config.seed + 200 + stage_i)
-                event = {"kind": "event", "event": "grow", "step": global_step,
-                         "stage": stage_i, "new_layers": sorted(fresh),
-                         "frozen_layers": old}
-                events.append(event)
-                writer.record(event)
+                note("grow", new_layers=sorted(fresh), frozen_layers=old)
 
             counts = param_counts(model)
             record = StageRecord(
@@ -396,11 +402,7 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                         raise NonFiniteError("loss is not finite")
                     loss.backward()
                 except NonFiniteError as exc:
-                    event = {"kind": "event", "event": "diverged",
-                             "step": global_step, "stage": stage_i,
-                             "detail": str(exc)}
-                    record.events.append(event)
-                    writer.record(event)
+                    note("diverged", detail=str(exc))
                     record.wall_seconds = time.perf_counter() - stage_start
                     raise DivergenceError(
                         f"non-finite loss at step {global_step}: {exc}") from exc
@@ -411,10 +413,7 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                     adamw_step(trainables, opt_state, lr, config.betas,
                                config.eps, config.weight_decay)
                 else:
-                    event = {"kind": "event", "event": "skipped_nonfinite_grads",
-                             "step": global_step, "stage": stage_i}
-                    record.events.append(event)
-                    writer.record(event)
+                    note("skipped_nonfinite_grads")
 
                 record.steps += 1
                 record.tokens += targets.size
@@ -438,10 +437,7 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                                    seed=config.seed + 300 + global_step)
                     opt_state = {k: v for k, v in opt_state.items()
                                  if ".adapters." not in k}
-                    event = {"kind": "event", "event": "adapter_reset",
-                             "step": global_step, "stage": stage_i}
-                    record.events.append(event)
-                    writer.record(event)
+                    note("adapter_reset")
 
             if val_stream is not None:
                 report = data_lib.perplexity(

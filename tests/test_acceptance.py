@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 from conftest import record_line
 from plan_oracle import brute_force_plan
 
@@ -446,6 +447,7 @@ def test_ledger_reconciliation(small_corpus_file):
 # 10. Staged run matches vanilla quality at equal flops with lower peak bytes
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_staged_vs_vanilla_desk_run(text_corpus_file):
     BATCH, SEQ, STEPS = 8, 64, 600
     with criterion(10, "staged vs vanilla desk run") as info:
@@ -508,6 +510,7 @@ def test_staged_vs_vanilla_desk_run(text_corpus_file):
 # 11. Ablation harness: complete grids, orderings reported, PET hard gate
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_ablation_harness(tmp_path, text_corpus_file):
     expected_cells = {
         "position": ["upper", "intermediate", "lower", "random"],

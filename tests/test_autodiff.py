@@ -526,6 +526,45 @@ def test_no_grad_tracking_without_requires_grad():
     assert y._backward is None
 
 
+def test_a_tensor_without_requires_grad_holds_no_gradient():
+    rng = np.random.default_rng(8)
+    x, w = leaf(rng, 3, 4), leaf(rng, 4, 5)
+    assert w._parents == () and w._backward is None  # a leaf's node
+    sum_all(matmul(x, w)).backward()
+    assert w.grad is not None
+    w.requires_grad = False
+    assert w.grad is None
+    with pytest.raises(ValueError):
+        w.grad = np.ones((4, 5))
+    w.zero_grad()  # clearing stays allowed
+    w.requires_grad = True
+    assert w.grad is None  # a fresh node: the old gradient does not return
+    sum_all(matmul(x, w)).backward()
+    assert x.grad is not None and w.grad is not None
+
+
+def test_backward_on_a_scalar_without_grad_reaches_nothing():
+    c = Tensor(np.array(2.0))
+    c.backward()
+    assert c.grad is None and not c.requires_grad
+    x = Tensor(np.ones(3))
+    loss = sum_all(x)
+    loss.backward()
+    assert loss.grad is None and x.grad is None
+
+
+def test_leaf_gradient_takes_its_data_dtype():
+    # A leaf cast after creation gets gradients in its new dtype; an
+    # operand of another dtype still hands the leaf its own.
+    x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    x.data = x.data.astype(np.float64)
+    sum_all(mul(x, Tensor(np.full(3, 1.0 + 2.0 ** -40)))).backward()
+    assert x.grad.dtype == np.float64 and x.grad[0] == 1.0 + 2.0 ** -40
+    y = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    sum_all(add(y, Tensor(np.ones(3)))).backward()
+    assert y.grad.dtype == np.float32
+
+
 # ---------------------------------------------------------------------------
 # Graph lifetime and no_grad
 # ---------------------------------------------------------------------------

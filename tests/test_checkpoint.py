@@ -9,8 +9,8 @@ from stagegrow.checkpoint import (BLOB_NAME, MANIFEST_NAME, CheckpointError,
                                   save_checkpoint)
 from stagegrow.growth import (AdapterSpec, GrowthSpec, attach_adapters,
                               freeze_layers, grow)
-from stagegrow.model import (ModelConfig, build_model, forward,
-                             named_parameters)
+from stagegrow.model import (LAYER_TENSOR_NAMES, ModelConfig, build_model,
+                             forward, named_parameters)
 
 
 def make_model(seed=0, **overrides):
@@ -167,6 +167,45 @@ def test_malformed_manifest(tmp_path, edit):
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(CheckpointError, match="malformed manifest"):
         load_checkpoint(tmp_path / "ck")
+
+
+def rewrite_frozen(tmp_path, flags):
+    """Save a staged model, then set the manifest's frozen entry per name."""
+    save_checkpoint(make_staged_model(), tmp_path / "ck")
+    path = tmp_path / "ck" / MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    for entry in manifest["arrays"]:
+        entry["frozen"] = flags.get(entry["name"], entry["frozen"])
+    path.write_text(json.dumps(manifest))
+
+
+def test_saved_frozen_entries_are_requires_grad(tmp_path):
+    save_checkpoint(make_staged_model(), tmp_path / "ck")
+    manifest = json.loads((tmp_path / "ck" / MANIFEST_NAME).read_text())
+    frozen = {e["name"] for e in manifest["arrays"] if e["frozen"]}
+    assert frozen == {f"layers.{i}.{n}" for i in (0, 2)
+                      for n in LAYER_TENSOR_NAMES}
+
+
+@pytest.mark.parametrize("flags", [
+    {"layers.0.w_k": False},         # one array of a frozen layer trains
+    {"layers.1.g_ffn": True},        # one array of a trainable layer freezes
+    {"embed": True},
+    {"final_gain": True},
+    {"layers.0.adapters.w_q.a": True},
+    {"layers.2.w_q": 1},             # not a JSON bool
+], ids=["thaw_one", "freeze_one", "embed", "final_gain", "adapter", "int"])
+def test_frozen_entries_that_cannot_hold_are_rejected(tmp_path, flags):
+    rewrite_frozen(tmp_path, flags)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_a_whole_layer_marked_frozen_loads_frozen(tmp_path):
+    rewrite_frozen(tmp_path, {f"layers.1.{n}": True for n in LAYER_TENSOR_NAMES})
+    loaded, _ = load_checkpoint(tmp_path / "ck")
+    assert [layer.frozen for layer in loaded.layers] == [True, True, True, False]
+    assert not any(t.requires_grad for t in loaded.layers[1].all_tensors().values())
 
 
 def test_unexpected_array_entry(tmp_path):

@@ -278,6 +278,12 @@ def test_train_missing_corpus_creates_nothing(capsys, tmp_path):
     ({"plan": {"layers": 4.0, "stages": 2}}, "$.plan.layers"),
     ({"version": True}, "$.version"),
     ({"version": 1.0}, "$.version"),
+    # Values of the right type that would only diverge later (exit 4).
+    ({"model": {"rope_base": 0}}, "$.model: rope_base"),
+    ({"model": {"rope_base": -1.0}}, "$.model: rope_base"),
+    ({"train": {"betas": [1.0, 0.95]}}, "$.train: betas"),
+    ({"train": {"betas": [0.9, -0.1]}}, "$.train: betas"),
+    ({"train": {"eps": 0}}, "$.train: eps"),
 ])
 def test_train_config_validation(capsys, tmp_path, small_corpus_file,
                                  overrides, fragment):
@@ -302,7 +308,7 @@ def test_config_sections_round_trip_to_dataclasses(tmp_path, small_corpus_file):
         train={"total_steps": 9, "peak_lr": 1, "warmup_steps": 2,
                "restart_warmup_steps": 1, "batch_size": 3, "seq_len": 12,
                "growth_fraction": 1, "adapter_reset_interval": 5, "seed": 7,
-               "betas": [1, 0.5], "eps": 0, "weight_decay": 0,
+               "betas": [0, 0.5], "eps": 1, "weight_decay": 0,
                "grad_clip": 2, "min_lr_fraction": 0.5},
         eval={"batch_size": 2, "max_windows": 6})
     _, plan, model, train, growth, eval_opts = load_run_config(path)
@@ -316,7 +322,7 @@ def test_config_sections_round_trip_to_dataclasses(tmp_path, small_corpus_file):
         TrainConfig(total_steps=9, peak_lr=1.0, warmup_steps=2,
                     restart_warmup_steps=1, batch_size=3, seq_len=12,
                     growth_fraction=1.0, adapter_reset_interval=5, seed=7,
-                    betas=(1.0, 0.5), eps=0.0, weight_decay=0.0,
+                    betas=(0.0, 0.5), eps=1.0, weight_decay=0.0,
                     grad_clip=2.0, min_lr_fraction=0.5),
         EvalOptions(batch_size=2, max_windows=6),
     ]

@@ -115,6 +115,22 @@ def test_frozen_layers_leave_trainable_list():
     assert param_counts(model).frozen_layer == 0
 
 
+def test_freezing_drops_the_layer_gradients():
+    model = build_model(small_config(), seed=0)
+    rng = np.random.default_rng(0)
+    ids = rng.integers(0, 256, size=(2, 8))
+    cross_entropy(forward(model, ids), rng.integers(0, 256, size=(2, 8))).backward()
+    layer = model.layers[0]
+    assert all(t.grad is not None for t in layer.all_tensors().values())
+    layer.set_frozen(True)
+    assert layer.frozen
+    assert all(t.grad is None for t in layer.all_tensors().values())
+    layer.set_frozen(False)
+    assert not layer.frozen
+    assert all(t.grad is None for t in layer.all_tensors().values())
+    assert model.layers[1].w_q.grad is not None
+
+
 def test_residual_output_init_is_depth_scaled():
     cfg = ModelConfig(hidden_dim=96, layer_count=8, head_count=6)
     model = build_model(cfg, seed=0)

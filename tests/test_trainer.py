@@ -1,16 +1,19 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import record_line
 
 from stagegrow import autodiff as ad
 from stagegrow.autodiff import Tensor
 from stagegrow.checkpoint import load_checkpoint
 from stagegrow.data import batch_cycle, load_corpus
 from stagegrow.growth import GrowthError
-from stagegrow.memory import ModelShape, embedding_params, stage_state_bytes
+from stagegrow.memory import (ModelShape, embedding_params, stage_state_bytes,
+                              vanilla_state_bytes)
 from stagegrow.model import (ModelConfig, build_model, forward,
                              named_parameters, trainable_parameters)
 from stagegrow.planner import stage_flops, stage_param_counts
@@ -284,6 +287,50 @@ def test_frozen_layers_never_move_after_their_stage(streams, tmp_path):
         assert final.layers[new_idx].frozen
     for idx in (1, 3):
         assert not final.layers[idx].frozen
+
+
+def test_frozen_layers_hold_no_gradient_after_growth(streams):
+    train, _ = streams
+    result = run_schedule(MODEL_CONFIG, (2, 2), train_config(total_steps=8),
+                          GrowthOptions(adapter_rank=4), train, None)
+    params = named_parameters(result.model)
+    frozen = [name for name, t in params if not t.requires_grad]
+    assert len(frozen) == 2 * 9
+    for name, t in params:
+        assert (t.grad is None) == (name in frozen), name
+
+
+def test_measured_trade_tracks_the_byte_model(streams):
+    # At a shape where parameters and optimizer state, not activations, set
+    # the peak, the staged run's whole-run tracemalloc peak (build, growth
+    # and steps) falls well below vanilla's, as the byte model says.
+    train, _ = streams
+    d, rank = 384, 8
+
+    def run_peak(plan, steps):
+        model_cfg = ModelConfig(hidden_dim=d, layer_count=plan[0], head_count=6)
+        cfg = train_config(total_steps=steps, growth_fraction=0.5,
+                           batch_size=1, seq_len=64)
+        tracemalloc.start()
+        try:
+            run_schedule(model_cfg, plan, cfg,
+                         GrowthOptions(adapter_rank=rank, fpi=True), train, None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    staged, vanilla = run_peak((4, 4), 4), run_peak((8,), 2)
+    shape = ModelShape(hidden_dim=d, layer_count=8, adapter_rank=rank)
+    emb = embedding_params(256, d)
+    modeled = [stage_state_bytes((4, 4), k, shape, emb).total_bytes for k in (1, 2)]
+    modeled_cut = 1.0 - max(modeled) / vanilla_state_bytes(8, d, emb)
+    measured_cut = 1.0 - staged / vanilla
+    line = (f"measured trade at d={d}, plan (4,4), rank {rank}: staged "
+            f"{staged / 1e6:.1f} MB vs vanilla {vanilla / 1e6:.1f} MB, "
+            f"reduction {100 * measured_cut:.1f}% measured, "
+            f"{100 * modeled_cut:.1f}% modeled")
+    record_line(line)
+    assert measured_cut >= 0.30, line
 
 
 def test_single_stage_equals_plain_loop(streams):
