@@ -13,7 +13,8 @@ backward closure.  A leaf's node has no parents.  Clearing `requires_grad`
 drops the node, gradient included.  Each closure saves exactly the arrays
 its formula reads:
 
-    matmul, mul      per operand that takes a gradient, the other operand
+    matmul, mul      per operand that takes a gradient, the other operand,
+                     or its remake
     silu             its input (the sigmoid is recomputed)
     silu with up     its input and up (the sigmoid and silu are recomputed)
     rms_norm         its input, the per-row 1/rms and the gain
@@ -22,9 +23,21 @@ its formula reads:
     add (with or without scale), scale, reshape, transpose, rope,
     embedding, sum_all: no input array
 
+Remake, don't keep: an op whose closure already saves every array of its
+output's formula gives the output a remake, a zero-argument callable that
+recomputes it from those arrays in the forward's own operation order, so
+bit-identically.  These are rms_norm and silu (with up, when its closure
+saves up).  A consumer that would save the output saves the remake and
+calls it in backward; the first call caches the array, and the cache dies
+with the last closure that saved it.  No other op has a remake: rope and
+add save nothing (a remake would keep their inputs alive), softmax saves
+its own output, and a matmul's output costs a GEMM to rebuild.
+
 So an output that no closure reads is freed as soon as the forward drops
 its handle: in the model, the adapter path's full-width A-products, the
-raw attention scores, the rope inputs and the residual branches' products.
+raw attention scores, the rope inputs, the residual branches' products,
+and the rms_norm and SwiGLU outputs, which every GEMM that reads them
+reads through a remake.
 
 A graph is backpropagated once.  `Tensor.backward` releases it as it
 walks: each node loses its closure and parents before its gradient flows
@@ -57,8 +70,9 @@ bit-identical to the chain's.
 
 Two more chains are one node each, also bit-identical to the chain they
 replace.  `silu(x, up)` is SwiGLU's mul(silu(x), up): the graph keeps x
-and up, not silu's output.  `add(a, b, scale)` is the adapter path's
-add(a, scale(b, s)): one node, whose b gradient is the scaled product.
+and up, not silu's output or the product.  `add(a, b, scale)` is the
+adapter path's add(a, scale(b, s)): one node, whose b gradient is the
+scaled product.
 
 Every forward op validates that its output is finite and raises
 NonFiniteError otherwise, so overflow surfaces at the op that produced it
@@ -137,7 +151,7 @@ class Tensor:
     and write the node.
     """
 
-    __slots__ = ("_data", "_node", "__weakref__")
+    __slots__ = ("_data", "_node", "_remake", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self._node: _Node | None = None
@@ -151,6 +165,7 @@ class Tensor:
     @data.setter
     def data(self, value) -> None:
         self._data = np.asarray(value)
+        self._remake = None  # it would rebuild the array just replaced
         if self._node is not None:  # a gradient takes its tensor's dtype
             self._node.dtype = self._data.dtype
 
@@ -309,6 +324,31 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
     return out
 
 
+def _cached(make):
+    """make as a remake: the first call runs it, later calls return its array.
+
+    The cache lives in the returned callable, so it dies with the last
+    consumer closure that saved it.  make must reach no tensor or node,
+    only the arrays its op's own closure saves.
+    """
+    cache = []
+
+    def remake() -> np.ndarray:
+        if not cache:
+            cache.append(make())
+        return cache[0]
+    return remake
+
+
+def _saved(t: Tensor):
+    """What a closure saves to read t's array: its remake if it has one."""
+    return t._remake or t._data
+
+
+def _load(saved) -> np.ndarray:
+    return saved() if callable(saved) else saved
+
+
 def _attach(out: Tensor, back) -> None:
     """Make back(grad) the zero-argument backward closure of out's node.
 
@@ -356,15 +396,15 @@ def mul(a: Tensor, b) -> Tensor:
     if out.requires_grad:
         na, nb = a._node, b._node
         a_shape, b_shape = a.data.shape, b.data.shape
-        # Each operand's gradient reads the other operand.
-        a_data = a.data if nb is not None else None
-        b_data = b.data if na is not None else None
+        # Each operand's gradient reads the other operand, or its remake.
+        a_saved = _saved(a) if nb is not None else None
+        b_saved = _saved(b) if na is not None else None
 
         def _back(g):
             if na is not None:
-                na.accumulate_grad(_unbroadcast(g * b_data, a_shape))
+                na.accumulate_grad(_unbroadcast(g * _load(b_saved), a_shape))
             if nb is not None:
-                nb.accumulate_grad(_unbroadcast(g * a_data, b_shape))
+                nb.accumulate_grad(_unbroadcast(g * _load(a_saved), b_shape))
         _attach(out, _back)
     return out
 
@@ -387,10 +427,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         na, nb = a._node, b._node
         a_shape, b_shape = a.data.shape, b.data.shape
-        # Each operand's gradient reads the other operand: a frozen weight
-        # saves no input, and a constant operand saves nothing.
-        a_data = a.data if nb is not None else None
-        b_data = b.data if na is not None else None
+        # Each operand's gradient reads the other operand, or its remake: a
+        # frozen weight saves no input, and a constant operand saves nothing.
+        a_saved = _saved(a) if nb is not None else None
+        b_saved = _saved(b) if na is not None else None
         if len(b_shape) == 2:
             k, n = b_shape
             # In b's layout: a weight used as transpose(w) then gets a
@@ -401,18 +441,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 # Fold a's leading dimensions: one 2-D GEMM per gradient.
                 g2 = g.reshape(-1, n)
                 if na is not None:
-                    na.accumulate_grad((g2 @ b_data.T).reshape(a_shape))
+                    na.accumulate_grad((g2 @ _load(b_saved).T).reshape(a_shape))
                 if nb is not None:
-                    a2 = a_data.reshape(-1, k)
+                    a2 = _load(a_saved).reshape(-1, k)
                     nb.accumulate_grad((g2.T @ a2).T if b_fortran else a2.T @ g2)
         else:
             def _back(g):
                 if na is not None:
                     na.accumulate_grad(_unbroadcast(
-                        g @ np.swapaxes(b_data, -1, -2), a_shape))
+                        g @ np.swapaxes(_load(b_saved), -1, -2), a_shape))
                 if nb is not None:
                     nb.accumulate_grad(_unbroadcast(
-                        np.swapaxes(a_data, -1, -2) @ g, b_shape))
+                        np.swapaxes(_load(a_saved), -1, -2) @ g, b_shape))
         _attach(out, _back)
     return out
 
@@ -436,10 +476,11 @@ def silu(x: Tensor, up=None) -> Tensor:
     an input-sized array from forward to backward, and allocates only it
     and up's gradient silu(x) * g; x's gradient,
     ((g * up) * sigmoid) * (1 + x * (1 - sigmoid)), is formed in place in
-    the consumed output's gradient.
+    the consumed output's gradient.  Consumers get a remake of the output
+    unless x takes no gradient and up does: only then does the closure
+    not keep up.
     """
     x_data = x.data
-    y = x_data * _sigmoid(x_data)
     if up is None:
         parents, up_data = (x,), None
     else:
@@ -448,15 +489,23 @@ def silu(x: Tensor, up=None) -> Tensor:
         if up_data.shape != x_data.shape or up_data.dtype != x_data.dtype:
             raise ValueError(f"up {up_data.shape} {up_data.dtype} must match x "
                              f"{x_data.shape} {x_data.dtype}")
-        y *= up_data
+
+    def make():
+        y = x_data * _sigmoid(x_data)
+        if up_data is not None:
+            y *= up_data
+        return y
+
     # |x * sigmoid(x)| <= |x|: finite input, finite output; the product with
     # up is probed, as mul's is.
-    out = _node(y, parents, "silu", checked=up is not None)
+    out = _node(make(), parents, "silu", checked=up is not None)
     if out.requires_grad:
         nx = x._node
         nup = None if up is None else up._node
         # x's gradient reads x and up; up's reads x alone.
         saved_up = up_data if nx is not None else None
+        if up is None or saved_up is not None:
+            out._remake = _cached(make)
 
         def _back(g):
             sig = _sigmoid(x_data)
@@ -522,17 +571,23 @@ def softmax(x: Tensor, scale: float = 1.0, mask=None) -> Tensor:
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     """Root-mean-square normalization over the last axis, scaled by `gain`.
 
-    The backward keeps x and the per-row 1/rms, and recomputes the
-    normalized x (the forward's own multiply) for the gain's gradient.
+    The backward keeps x, the per-row 1/rms and the gain, and recomputes
+    the normalized x (the forward's own multiply) for the gain's gradient.
+    Consumers get a remake of the output from the same three arrays.
     """
-    x_data = x.data
+    x_data, gain_data = x.data, gain.data
     n = x_data.shape[-1]
     ms = np.mean(np.square(x_data), axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(ms + eps)
-    out = _node(x_data * inv * gain.data, (x, gain), "rms_norm")
+
+    def make():
+        return x_data * inv * gain_data
+
+    out = _node(make(), (x, gain), "rms_norm")
     if out.requires_grad:
         nx, ngain = x._node, gain._node
-        gain_data, gain_shape = gain.data, gain.data.shape
+        gain_shape = gain_data.shape
+        out._remake = _cached(make)
 
         def _back(g):
             if ngain is not None:

@@ -8,12 +8,18 @@ then all nine of them.  params.bin holds the arrays back to back as
 little-endian float32 in that order.  The manifest stores the blob's
 sha256 and the loader verifies it, so loading a checkpoint either
 reproduces the saved model bit-for-bit or fails loudly.
+
+Run artifacts, checkpoints included, are written by `write_atomic` and
+`write_json`: a temp file in the target's directory, then `os.replace`.
+A checkpoint writes its blob first and its manifest last, so a directory
+whose manifest exists holds the blob that manifest describes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -27,6 +33,32 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
 BLOB_DTYPE = "<f4"
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write data to path through a temp file beside it and `os.replace`.
+
+    A reader sees the old file or the new one, never a partial write, and
+    a failed write leaves no temp file.  There is no fsync: this survives
+    a crashed process, not a power cut.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write obj by `write_atomic` as strict, indented JSON with sorted keys.
+
+    NaN and inf raise ValueError before anything is written.
+    """
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n").encode())
 
 
 class CheckpointError(ValueError):
@@ -69,9 +101,8 @@ def save_checkpoint(model: ToyModel, directory: str | Path,
         "blob_bytes": len(blob),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
-    (directory / BLOB_NAME).write_bytes(blob)
-    (directory / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(directory / BLOB_NAME, blob)
+    write_json(directory / MANIFEST_NAME, manifest)
     return directory
 
 

@@ -239,8 +239,7 @@ def _write_plan_reports(out_dir: Path, report: dict,
                         estimate: memory_lib.MemoryEstimate,
                         vanilla_bytes: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    ckpt.write_json(out_dir / "report.json", report)
     with open(out_dir / "stages.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stage", "new_layers", "cumulative_layers",
@@ -349,8 +348,7 @@ def cmd_train(args) -> int:
     snapshot = dict(cfg)
     snapshot["plan"] = {"increments": list(plan.increments)}
     snapshot["corpus_digest"] = train_stream.digest
-    (run_dir / "config.json").write_text(
-        json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+    ckpt.write_json(run_dir / "config.json", snapshot)
 
     result = run_schedule(
         model_cfg, plan, train_cfg, growth, train_stream, val_stream,
@@ -360,12 +358,12 @@ def cmd_train(args) -> int:
         checkpoint_extra={"validation_fraction": vf})
 
     last = result.ledger.stages[-1]
-    (run_dir / "final_eval.json").write_text(json.dumps({
+    ckpt.write_json(run_dir / "final_eval.json", {
         "split": val_stream.split,
         "tokens": len(val_stream),
         "loss": last.val_loss,
         "ppl": last.val_ppl,
-    }, indent=2, sort_keys=True) + "\n")
+    })
 
     print(f"trained plan {plan.describe()} for {result.ledger.total_steps} steps")
     print(f"peak simulated bytes {result.ledger.peak_simulated_bytes} "
@@ -407,7 +405,7 @@ def cmd_eval(args) -> int:
                "corpus_digest": val_stream.digest}
     print(f"split={report.split} tokens={report.tokens} "
           f"loss={report.loss:.6f} ppl={report.ppl:.6f}")
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    ckpt.write_json(args.out, payload)
     print(f"report written to {args.out}")
     return EXIT_OK
 
@@ -467,8 +465,7 @@ def cmd_ablate(args) -> int:
               f"peak_bytes={result.ledger.peak_simulated_bytes}")
 
     root.mkdir(parents=True, exist_ok=True)
-    (root / "results.json").write_text(json.dumps(
-        {"axis": args.axis, "cells": rows}, indent=2, sort_keys=True) + "\n")
+    ckpt.write_json(root / "results.json", {"axis": args.axis, "cells": rows})
     with open(root / "results.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()

@@ -301,8 +301,7 @@ class _RunWriter:
 
     def flush_ledger(self, ledger: RunLedger) -> None:
         if self.out_dir is not None:
-            (self.out_dir / "ledger.json").write_text(
-                json.dumps(ledger.to_dict(), indent=2, sort_keys=True) + "\n")
+            ckpt.write_json(self.out_dir / "ledger.json", ledger.to_dict())
             self._log.flush()
 
     def close(self) -> None:

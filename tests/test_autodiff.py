@@ -261,6 +261,46 @@ def test_fused_silu_takes_a_gradient_for_either_operand_alone():
         assert fused_in[1 - grad_of].grad is None
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", ["rms_norm", "silu", "silu_up"])
+def test_remake_is_bit_identical_to_the_forward_output(dtype, op):
+    rng = np.random.default_rng(6)
+    x = Tensor((rng.standard_normal((2, 5, 24)) * 4.0).astype(dtype),
+               requires_grad=True)
+    other = Tensor(rng.standard_normal(24 if op == "rms_norm" else (2, 5, 24))
+                   .astype(dtype), requires_grad=True)
+    if op == "rms_norm":
+        out = rms_norm(x, other)
+    else:
+        out = silu(x, other if op == "silu_up" else None)
+    remade = out._remake()
+    assert remade is not out.data and remade.dtype == dtype
+    assert np.array_equal(remade, out.data)
+    assert out._remake() is remade  # cached after the first call
+    # A consumer's gradient reads the remake, as it read the output before.
+    w = Tensor(rng.standard_normal((24, 3)).astype(dtype), requires_grad=True)
+    sum_all(matmul(out, w)).backward()
+    expect = out.data.reshape(-1, 24).T @ np.ones((10, 3), dtype=dtype)
+    assert np.array_equal(w.grad, expect)
+
+
+def test_only_an_output_whose_closure_keeps_its_inputs_has_a_remake():
+    rng = np.random.default_rng(7)
+    x, up = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    # x takes no gradient, so silu's closure keeps x but not up.
+    assert silu(Tensor(x), Tensor(up, requires_grad=True))._remake is None
+    assert silu(Tensor(x, requires_grad=True), Tensor(up))._remake is not None
+    with no_grad():
+        assert silu(Tensor(x, requires_grad=True))._remake is None
+    for out in (add(Tensor(x, requires_grad=True), up),
+                rope(Tensor(x, requires_grad=True), np.cos(x), np.sin(x)),
+                softmax(Tensor(x, requires_grad=True))):
+        assert out._remake is None
+    out = rms_norm(Tensor(x, requires_grad=True), Tensor(np.ones(4)))
+    out.data = up  # a new array: the remake would rebuild the old one
+    assert out._remake is None
+
+
 def test_fused_silu_rejects_a_mismatched_up():
     x = Tensor(np.ones((2, 3)))
     with pytest.raises(ValueError):
@@ -626,8 +666,10 @@ def test_forward_keeps_only_what_backward_reads(monkeypatch):
     # An op output that no backward closure reads dies as soon as the
     # forward drops it: the adapter path's full-width A-product (the scaled
     # add keeps nothing), the raw attention scores (softmax keeps its own
-    # output) and the w_o product (the residual add keeps nothing).
-    # rms_norm keeps its input.
+    # output) and the w_o product (the residual add keeps nothing).  So do
+    # the rms_norm and SwiGLU outputs: their consumers keep remakes, which
+    # backward rebuilds from what rms_norm and silu keep.  rms_norm keeps
+    # its input.
     model = staged_model()
     rng = np.random.default_rng(0)
     ids = rng.integers(0, 256, size=(2, 16))
@@ -635,8 +677,10 @@ def test_forward_keeps_only_what_backward_reads(monkeypatch):
     w_o = {id(layer.w_o.data) for layer in model.layers}
     adapter_a = {id(ad.a.data) for layer in model.layers
                  for ad in layer.adapters.values()}
-    refs = {"a_product": [], "scores": [], "w_o": [], "norm_input": []}
-    orig_matmul, orig_norm = autodiff.matmul, autodiff.rms_norm
+    refs = {"a_product": [], "scores": [], "w_o": [], "norm_input": [],
+            "norm_output": [], "silu_output": []}
+    orig_matmul, orig_norm, orig_silu = (autodiff.matmul, autodiff.rms_norm,
+                                         autodiff.silu)
 
     def matmul_(a, b):
         out = orig_matmul(a, b)
@@ -651,17 +695,26 @@ def test_forward_keeps_only_what_backward_reads(monkeypatch):
 
     def rms_norm_(x, gain, eps=1e-5):
         refs["norm_input"].append(weakref.ref(x.data))
-        return orig_norm(x, gain, eps)
+        out = orig_norm(x, gain, eps)
+        refs["norm_output"].append(weakref.ref(out.data))
+        return out
+
+    def silu_(x, up=None):
+        out = orig_silu(x, up)
+        refs["silu_output"].append(weakref.ref(out.data))
+        return out
 
     monkeypatch.setattr(autodiff, "matmul", matmul_)
     monkeypatch.setattr(autodiff, "rms_norm", rms_norm_)
+    monkeypatch.setattr(autodiff, "silu", silu_)
     gc.collect()
     gc.disable()
     try:
         logits = forward(model, ids)
         assert {k: len(v) for k, v in refs.items()} == {
-            "a_product": 7, "scores": 2, "w_o": 2, "norm_input": 5}
-        for kind in ("a_product", "scores", "w_o"):
+            "a_product": 7, "scores": 2, "w_o": 2, "norm_input": 5,
+            "norm_output": 5, "silu_output": 2}
+        for kind in ("a_product", "scores", "w_o", "norm_output", "silu_output"):
             assert all(r() is None for r in refs[kind]), kind
         assert all(r() is not None for r in refs["norm_input"])
         cross_entropy(logits, targets).backward()
@@ -671,10 +724,11 @@ def test_forward_keeps_only_what_backward_reads(monkeypatch):
         assert t.grad is not None and t.grad.shape == t.data.shape, name
 
 
-def test_forward_keeps_three_ffn_width_arrays_per_layer(monkeypatch):
+def test_forward_keeps_two_ffn_width_arrays_per_layer(monkeypatch):
     # SwiGLU is one node that saves the gate pre-activation and up, not
-    # silu's output; the w_down product (and its adapter) keeps the gated
-    # product.  Every other (batch, seq, ffn) array dies in forward.
+    # silu's output; the w_down product (and its adapter) keeps a remake of
+    # the gated product, not the product.  Every other (batch, seq, ffn)
+    # array dies in forward.
     model = staged_model()
     cfg = model.config
     ids = np.random.default_rng(0).integers(0, 256, size=(2, 16))
@@ -694,7 +748,7 @@ def test_forward_keeps_three_ffn_width_arrays_per_layer(monkeypatch):
     try:
         logits = forward(model, ids)
         alive = sum(r() is not None for r in made)
-        assert alive == 3 * cfg.layer_count, (alive, len(made))
+        assert alive == 2 * cfg.layer_count, (alive, len(made))
         del logits
     finally:
         gc.enable()

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from stagegrow import checkpoint
 from stagegrow.checkpoint import (BLOB_NAME, MANIFEST_NAME, CheckpointError,
                                   DigestError, load_checkpoint,
-                                  save_checkpoint)
+                                  save_checkpoint, write_json)
 from stagegrow.growth import (AdapterSpec, GrowthSpec, attach_adapters,
                               freeze_layers, grow)
 from stagegrow.model import (LAYER_TENSOR_NAMES, ModelConfig, build_model,
@@ -217,3 +218,41 @@ def test_unexpected_array_entry(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "ck")
+
+
+# ---------------------------------------------------------------------------
+# Atomic, strict-JSON writes
+# ---------------------------------------------------------------------------
+
+def test_checkpoint_writes_its_blob_before_its_manifest(tmp_path, monkeypatch):
+    written = []
+    orig = checkpoint.write_atomic
+
+    def recording(path, data):
+        written.append(path.name)
+        orig(path, data)
+
+    monkeypatch.setattr(checkpoint, "write_atomic", recording)
+    save_checkpoint(make_model(), tmp_path / "ck")
+    assert written == [BLOB_NAME, MANIFEST_NAME]
+    assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == sorted(written)
+
+
+def test_write_json_is_strict_and_leaves_the_old_file_on_failure(tmp_path, monkeypatch):
+    path = tmp_path / "ledger.json"
+    write_json(path, {"b": [1, 2.5], "a": None})
+    before = path.read_bytes()
+    assert before == (json.dumps({"a": None, "b": [1, 2.5]}, indent=2,
+                                 sort_keys=True) + "\n").encode()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            write_json(path, {"loss": bad})
+    # A write that fails after the temp file exists removes it too.
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        write_json(path, {"loss": 1.0})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ledger.json"]

@@ -17,7 +17,8 @@ from stagegrow.memory import (ModelShape, embedding_params, stage_state_bytes,
 from stagegrow.model import (ModelConfig, build_model, forward,
                              named_parameters, trainable_parameters)
 from stagegrow.planner import stage_flops, stage_param_counts
-from stagegrow.trainer import (DivergenceError, GrowthOptions, TrainConfig,
+from stagegrow.trainer import (DivergenceError, GrowthOptions, RunLedger,
+                               StageRecord, TrainConfig, _RunWriter,
                                adamw_step, clip_gradients, global_grad_norm,
                                lr_at, run_schedule, simulated_bytes)
 
@@ -403,6 +404,24 @@ def test_exploded_grads_skip_steps_without_divergence(streams, tmp_path):
             assert rec["grad_norm"] is None
         else:
             assert math.isfinite(rec["grad_norm"])
+
+
+def test_a_ledger_that_is_not_strict_json_keeps_the_last_one(tmp_path):
+    writer = _RunWriter(tmp_path)
+    try:
+        record = StageRecord(stage=1, layer_increment=2, cumulative_layers=2,
+                             trainable_params=10, frozen_params=0,
+                             adapter_params=0, simulated_bytes=160)
+        ledger = RunLedger([record])
+        writer.flush_ledger(ledger)
+        before = (tmp_path / "ledger.json").read_bytes()
+        record.final_train_loss = float("nan")
+        with pytest.raises(ValueError):
+            writer.flush_ledger(ledger)
+    finally:
+        writer.close()
+    assert (tmp_path / "ledger.json").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "log.ndjson"]
 
 
 def test_divergence_flushes_ledger(streams, tmp_path):
