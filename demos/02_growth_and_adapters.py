@@ -10,9 +10,8 @@ Run: python3 demos/02_growth_and_adapters.py
 """
 import numpy as np
 
-from stagegrow.growth import (AdapterSpec, GrowthSpec, attach_adapters,
-                              freeze_layers, grow, insertion_gaps,
-                              merge_adapters, new_layer_indices)
+from stagegrow.growth import (GrowthOptions, attach_adapters, freeze_layers,
+                              grow, insertion_gaps, merge_adapters)
 from stagegrow.model import ModelConfig, build_model, forward, param_counts
 
 rng = np.random.default_rng(0)
@@ -27,15 +26,13 @@ print(f"base model: {config.layer_count} layers, "
 # Where do new layers land?  Gap g means "above old layer g".
 print("\ninsertion gaps for 2 new layers into 4 old ones:")
 for position in ("upper", "intermediate", "lower", "random"):
-    spec = GrowthSpec(new_layer_count=2, position=position, seed=7)
-    print(f"  {position:13s} -> gaps {insertion_gaps(4, spec)}")
+    print(f"  {position:13s} -> gaps {insertion_gaps(4, 2, position, seed=7)}")
 
 # Growth with function-preserving init: the new layers' residual output
 # projections are zeroed, so they contribute exactly nothing at first.
-before_layers = list(model.layers)
-grow(model, GrowthSpec(new_layer_count=2, position="upper", init="mean",
-                       fpi=True))
-new_at = new_layer_indices(model, before_layers)
+options = GrowthOptions(position="upper", init="mean", fpi=True,
+                        adapter_rank=4)
+new_at = grow(model, 2, options, seed=7)
 old_at = [i for i in range(model.config.layer_count) if i not in new_at]
 after_growth = forward(model, ids).data
 print(f"\ngrew 4 -> {model.config.layer_count} layers with fpi "
@@ -45,7 +42,7 @@ print(f"  max |logit delta|: {np.max(np.abs(after_growth - reference)):.1e}"
 
 # Freeze the original stack and attach rank-4 factors to every matrix in it.
 freeze_layers(model, old_at)
-attach_adapters(model, old_at, AdapterSpec(rank=4), seed=1)
+attach_adapters(model, old_at, options, seed=1)
 after_attach = forward(model, ids).data
 counts = param_counts(model)
 print(f"\nfroze 4 layers, attached rank-4 adapters: "

@@ -15,15 +15,15 @@ from .planner import (BudgetError, FlopsBudget, PlanInfeasibleError,
 from .autodiff import GradCheckReport, NonFiniteError, Tensor, grad_check
 from .model import (ModelConfig, ParamCounts, ToyModel, build_model, forward,
                     named_parameters, param_counts, trainable_parameters)
-from .growth import (AdapterSpec, GrowthError, GrowthSpec, attach_adapters,
+from .growth import (GrowthError, GrowthOptions, attach_adapters,
                      freeze_layers, grow, insertion_gaps, merge_adapters,
                      reset_adapters)
 from .checkpoint import (CheckpointError, DigestError, load_checkpoint,
                          save_checkpoint)
 from .data import (CorpusError, PplReport, TokenStream, batch_cycle, batches,
                    load_corpus, perplexity, window_count)
-from .trainer import (DivergenceError, GrowthOptions, RunLedger, RunResult,
-                      StageRecord, TrainConfig, adamw_step, clip_gradients,
-                      lr_at, run_schedule, simulated_bytes)
+from .trainer import (DivergenceError, RunLedger, RunResult, StageRecord,
+                      TrainConfig, adamw_step, clip_gradients, lr_at,
+                      run_schedule, simulated_bytes)
 
 __version__ = "0.1.0"

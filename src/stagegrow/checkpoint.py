@@ -71,7 +71,14 @@ class DigestError(CheckpointError):
 
 def save_checkpoint(model: ToyModel, directory: str | Path,
                     extra: dict | None = None) -> Path:
-    """Write manifest.json and params.bin into `directory`; returns it."""
+    """Write manifest.json and params.bin into `directory`; returns it.
+
+    The manifest records one adapter scale for the whole model, so adapters
+    that disagree on scale are a CheckpointError, raised before any write.
+    """
+    scales = {a.scale for layer in model.layers for a in layer.adapters.values()}
+    if len(scales) > 1:
+        raise CheckpointError(f"adapters disagree on scale: {sorted(scales)}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 invalid input (bad flags, malformed config,
 missing files, corrupt checkpoints), 3 infeasible plan or budget,
-4 training divergence.
+4 divergence: a non-finite training loss, or non-finite values in any
+forward pass (a validation pass, or `eval` of a checkpoint holding NaN or
+inf weights).
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from . import checkpoint as ckpt
 from . import data as data_lib
 from . import memory as memory_lib
 from . import planner as planner_lib
-from .growth import POSITIONS
+from .autodiff import NonFiniteError
+from .growth import POSITIONS, GrowthOptions
 from .memory import ModelShape, format_gb
 from .model import ModelConfig
 from .planner import (BudgetError, PlanInfeasibleError, StagePlan,
                       solve_exact, solve_rounded, token_budget)
-from .trainer import (DivergenceError, GrowthOptions, TrainConfig,
-                      run_schedule)
+from .trainer import DivergenceError, TrainConfig, run_schedule
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -451,7 +453,8 @@ def cmd_ablate(args) -> int:
             replace(growth, **growth_overrides), train_stream, val_stream,
             eval_batch_size=eval_opts.batch_size,
             eval_max_windows=eval_opts.max_windows,
-            out_dir=root / "cells" / _cell_slug(label))
+            out_dir=root / "cells" / _cell_slug(label),
+            checkpoint_extra={"validation_fraction": vf})
         last = result.ledger.stages[-1]
         rows.append({
             "cell": label,
@@ -536,7 +539,7 @@ def main(argv=None) -> int:
     except (PlanInfeasibleError, BudgetError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except DivergenceError as exc:
+    except (DivergenceError, NonFiniteError) as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (ValueError, OSError) as exc:  # every input error is a ValueError

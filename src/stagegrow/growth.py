@@ -1,5 +1,9 @@
 """Depth growth, freezing, and low-rank adapter lifecycle for ToyModel.
 
+One policy, GrowthOptions, says how layers grow (position, init, fpi) and
+which adapters the frozen layers get (adapter_rank, adapter_scale); grow,
+attach_adapters and reset_adapters each take it with a seed.
+
 Growing inserts fresh layers between existing ones.  New layers pair with a
 contiguous region of old layers (top region for "upper", bottom for
 "lower", spread evenly for "intermediate", seeded draws for "random") and
@@ -12,15 +16,16 @@ Initialization of an inserted layer:
     mean  elementwise average of the old layers below and above the gap;
           with nothing above (topmost gap) it falls back to copy
 
-Optionally the new layers' residual output projections (w_o, w_down) are
+With fpi the new layers' residual output projections (w_o, w_down) are
 zeroed afterwards, which makes the grown model compute bit-for-bit the same
 function as before growth: both residual branches of a new layer then add
 exact zeros.
 
 Adapters attach to frozen layers only, one factor pair per weight matrix,
-A zero / B small normal, default scale 1/rank; attaching therefore changes
-nothing until training moves A.  Merging folds scale * A @ B back into the
-dense weights; resetting merges and re-attaches fresh factors.
+A zero / B small normal, default scale 1/rank (as in LoRA); attaching
+therefore changes nothing until training moves A.  Merging folds
+scale * A @ B back into the dense weights; resetting merges and re-attaches
+fresh factors.
 """
 
 from __future__ import annotations
@@ -42,61 +47,53 @@ class GrowthError(ValueError):
 
 
 @dataclass(frozen=True)
-class GrowthSpec:
-    new_layer_count: int
+class GrowthOptions:
+    """How growth events behave; adapter_rank 0 disables adapters."""
+
     position: str = "upper"
     init: str = "mean"
     fpi: bool = False  # zero new layers' residual outputs (function preserving)
-    seed: int | None = None  # required for position="random"
+    adapter_rank: int = 8
+    adapter_scale: float | None = None  # None: 1/adapter_rank, as in LoRA
 
     def __post_init__(self) -> None:
-        if self.new_layer_count < 1:
-            raise GrowthError(f"new_layer_count must be >= 1, got {self.new_layer_count}")
+        # Checked now rather than at the first growth boundary.
         if self.position not in POSITIONS:
             raise GrowthError(f"position must be one of {POSITIONS}, got {self.position!r}")
         if self.init not in INITS:
             raise GrowthError(f"init must be one of {INITS}, got {self.init!r}")
-        if self.position == "random" and self.seed is None:
-            raise GrowthError("position='random' needs a seed")
+        if self.adapter_rank < 0:
+            raise GrowthError(f"adapter_rank must be >= 0, got {self.adapter_rank}")
 
 
-@dataclass(frozen=True)
-class AdapterSpec:
-    rank: int
-    scale: float | None = None  # defaults to 1/rank
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise GrowthError(f"rank must be >= 1, got {self.rank}")
-
-    @property
-    def effective_scale(self) -> float:
-        return (1.0 / self.rank) if self.scale is None else self.scale
-
-
-def insertion_gaps(old_count: int, spec: GrowthSpec) -> list[int]:
+def insertion_gaps(old_count: int, new_count: int, position: str,
+                   seed: int) -> list[int]:
     """Gap index (1-based: after old layer g) for each new layer, sorted.
 
     Gaps 1..old_count sit above each old layer.  A region of
     min(m, old_count) gaps hosts the new layers: every gap in the region
     takes floor(m/region) layers and the gaps nearest the region anchor
-    absorb the remainder.
+    absorb the remainder.  Only position "random" reads the seed.
     """
-    n, m = old_count, spec.new_layer_count
+    n, m = old_count, new_count
     if n < 1:
         raise GrowthError(f"old_count must be >= 1, got {n}")
-    if spec.position == "random":
-        rng = np.random.default_rng(spec.seed)
+    if m < 1:
+        raise GrowthError(f"new_count must be >= 1, got {m}")
+    if position == "random":
+        rng = np.random.default_rng(seed)
         return sorted(int(g) for g in rng.integers(1, n + 1, size=m))
-    if spec.position == "upper":
+    if position == "upper":
         region = list(range(max(1, n - m + 1), n + 1))
         anchored = list(reversed(region))  # extras go to the topmost gaps
-    elif spec.position == "lower":
+    elif position == "lower":
         region = list(range(1, min(m, n) + 1))
         anchored = region  # extras go to the bottom gaps
-    else:  # intermediate: spread across all gaps
+    elif position == "intermediate":  # spread across all gaps
         counts = [(m * g) // n - (m * (g - 1)) // n for g in range(1, n + 1)]
         return [g for g, c in enumerate(counts, start=1) for _ in range(c)]
+    else:
+        raise GrowthError(f"position must be one of {POSITIONS}, got {position!r}")
     base, extra = divmod(m, len(region))
     per_gap = {g: base for g in region}
     for g in anchored[:extra]:
@@ -121,38 +118,31 @@ def _make_layer(below: LayerBlock, above: LayerBlock | None, init: str) -> Layer
     return LayerBlock(**tensors)
 
 
-def grow(model: ToyModel, spec: GrowthSpec) -> ToyModel:
-    """Insert spec.new_layer_count fresh trainable layers in place.
+def grow(model: ToyModel, new_count: int, options: GrowthOptions,
+         seed: int) -> list[int]:
+    """Insert new_count fresh trainable layers in place; returns their indices.
 
     New layers never alias old storage.  Old layers keep their tensors,
     frozen flags, and adapters untouched.
     """
     old = list(model.layers)
-    gaps = insertion_gaps(len(old), spec)
-    new_layers: list[LayerBlock] = []
+    gaps = insertion_gaps(len(old), new_count, options.position, seed)
+    fresh: list[int] = []
     stack: list[LayerBlock] = []
     for g in range(1, len(old) + 1):
         stack.append(old[g - 1])
-        count = gaps.count(g)
         below = old[g - 1]
         above = old[g] if g < len(old) else None
-        for _ in range(count):
-            layer = _make_layer(below, above, spec.init)
-            if spec.fpi:
+        for _ in range(gaps.count(g)):
+            layer = _make_layer(below, above, options.init)
+            if options.fpi:
                 for name in RESIDUAL_OUTPUT_NAMES:
                     getattr(layer, name).data[...] = 0.0
-            new_layers.append(layer)
+            fresh.append(len(stack))
             stack.append(layer)
     model.layers[:] = stack
-    assert len(new_layers) == spec.new_layer_count
     model.config = replace(model.config, layer_count=len(stack))
-    return model
-
-
-def new_layer_indices(model: ToyModel, before: list[LayerBlock]) -> list[int]:
-    """Indices of layers not present in a pre-growth snapshot list."""
-    old_ids = {id(layer) for layer in before}
-    return [i for i, layer in enumerate(model.layers) if id(layer) not in old_ids]
+    return fresh
 
 
 def freeze_layers(model: ToyModel, indices) -> ToyModel:
@@ -161,13 +151,17 @@ def freeze_layers(model: ToyModel, indices) -> ToyModel:
     return model
 
 
-def attach_adapters(model: ToyModel, layer_indices, spec: AdapterSpec,
+def attach_adapters(model: ToyModel, layer_indices, options: GrowthOptions,
                     seed: int) -> ToyModel:
     """Attach fresh factor pairs to every matrix of the given frozen layers.
 
     A starts at zero, so the adapted forward pass is bit-identical to the
     un-adapted one until the optimizer moves A.
     """
+    rank = options.adapter_rank
+    if rank < 1:
+        raise GrowthError(f"adapter_rank must be >= 1 to attach adapters, got {rank}")
+    scale = 1.0 / rank if options.adapter_scale is None else options.adapter_scale
     rng = np.random.default_rng(seed)
     for i in layer_indices:
         layer = model.layers[i]
@@ -177,12 +171,12 @@ def attach_adapters(model: ToyModel, layer_indices, spec: AdapterSpec,
             raise GrowthError(f"layer {i} already has adapters")
         for name in MATRIX_NAMES:
             out_dim, in_dim = getattr(layer, name).data.shape
-            a = np.zeros((out_dim, spec.rank), dtype=model.dtype)
-            b = rng.normal(0.0, INIT_STD, size=(spec.rank, in_dim)).astype(model.dtype)
+            a = np.zeros((out_dim, rank), dtype=model.dtype)
+            b = rng.normal(0.0, INIT_STD, size=(rank, in_dim)).astype(model.dtype)
             layer.adapters[name] = Adapter(
                 a=Tensor(a, requires_grad=True),
                 b=Tensor(b, requires_grad=True),
-                scale=spec.effective_scale)
+                scale=scale)
     return model
 
 
@@ -202,11 +196,11 @@ def merge_adapters(model: ToyModel) -> ToyModel:
     return model
 
 
-def reset_adapters(model: ToyModel, spec: AdapterSpec, seed: int) -> ToyModel:
+def reset_adapters(model: ToyModel, options: GrowthOptions, seed: int) -> ToyModel:
     """Merge current adapters, then attach fresh ones to the same layers."""
     adapted = adapted_layer_indices(model)
     merge_adapters(model)
-    return attach_adapters(model, adapted, spec, seed)
+    return attach_adapters(model, adapted, options, seed)
 
 
 def adapted_layer_indices(model: ToyModel) -> list[int]:

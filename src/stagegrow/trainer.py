@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -30,9 +29,8 @@ from . import checkpoint as ckpt
 from . import data as data_lib
 from . import model as model_lib
 from .autodiff import NonFiniteError, Tensor
-from .growth import (AdapterSpec, GrowthError, GrowthSpec,
-                     adapted_layer_indices, attach_adapters, freeze_layers,
-                     grow, merge_adapters, new_layer_indices, reset_adapters)
+from .growth import (GrowthOptions, adapted_layer_indices, attach_adapters,
+                     freeze_layers, grow, merge_adapters, reset_adapters)
 from .memory import state_bytes
 from .model import ModelConfig, ToyModel, build_model, param_counts
 from .planner import StagePlan, split_steps, stage_flops
@@ -86,28 +84,6 @@ class TrainConfig:
     @property
     def batch_tokens(self) -> int:
         return self.batch_size * self.seq_len
-
-
-@dataclass(frozen=True)
-class GrowthOptions:
-    """How growth events behave; adapter_rank 0 disables adapters."""
-
-    position: str = "upper"
-    init: str = "mean"
-    fpi: bool = False
-    adapter_rank: int = 8
-    adapter_scale: float | None = None
-
-    def __post_init__(self) -> None:
-        # Check the policy now rather than at the first growth boundary.
-        GrowthSpec(1, position=self.position, init=self.init, seed=0)
-        if self.adapter_rank < 0:
-            raise GrowthError(f"adapter_rank must be >= 0, got {self.adapter_rank}")
-
-    def adapter_spec(self) -> AdapterSpec | None:
-        if self.adapter_rank == 0:
-            return None
-        return AdapterSpec(rank=self.adapter_rank, scale=self.adapter_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +208,6 @@ class StageRecord:
     final_train_loss: float | None = None
     val_loss: float | None = None
     val_ppl: float | None = None
-    wall_seconds: float = 0.0
     loss_curve: list[float] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
 
@@ -258,12 +233,8 @@ class RunLedger:
         return sum(s.flops for s in self.stages)
 
     def to_dict(self) -> dict:
-        stages = [asdict(s) for s in self.stages]
-        for stage in stages:
-            # Not serialized: ledgers from identical runs must be byte-identical.
-            del stage["wall_seconds"]
         return {
-            "stages": stages,
+            "stages": [asdict(s) for s in self.stages],
             "peak_simulated_bytes": self.peak_simulated_bytes,
             "total_steps": self.total_steps,
             "total_tokens": self.total_tokens,
@@ -328,7 +299,6 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
         raise ValueError(
             f"model_config.layer_count {model_config.layer_count} must match "
             f"the first stage increment {plan.increments[0]}")
-    adapter_spec = growth.adapter_spec()
 
     out_path = Path(out_dir) if out_dir is not None else None
     writer = _RunWriter(out_path)
@@ -344,7 +314,6 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
 
     try:
         for stage_i, n_steps in enumerate(stage_steps, start=1):
-            stage_start = time.perf_counter()
             events: list[dict] = []
 
             def note(event: str, **fields) -> None:  # into the ledger and the log
@@ -358,19 +327,14 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                 merge_adapters(model)
                 opt_state = {k: v for k, v in opt_state.items()
                              if not k.startswith("layers.")}
-                before = list(model.layers)
-                spec = GrowthSpec(
-                    new_layer_count=plan.increments[stage_i - 1],
-                    position=growth.position, init=growth.init, fpi=growth.fpi,
-                    seed=config.seed + 100 + stage_i)
-                grow(model, spec)
-                fresh = set(new_layer_indices(model, before))
+                fresh = grow(model, plan.increments[stage_i - 1], growth,
+                             seed=config.seed + 100 + stage_i)
                 old = [i for i in range(len(model.layers)) if i not in fresh]
                 freeze_layers(model, old)
-                if adapter_spec is not None:
-                    attach_adapters(model, old, adapter_spec,
+                if growth.adapter_rank:
+                    attach_adapters(model, old, growth,
                                     seed=config.seed + 200 + stage_i)
-                note("grow", new_layers=sorted(fresh), frozen_layers=old)
+                note("grow", new_layers=fresh, frozen_layers=old)
 
             counts = param_counts(model)
             record = StageRecord(
@@ -402,7 +366,6 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                     loss.backward()
                 except NonFiniteError as exc:
                     note("diverged", detail=str(exc))
-                    record.wall_seconds = time.perf_counter() - stage_start
                     raise DivergenceError(
                         f"non-finite loss at step {global_step}: {exc}") from exc
 
@@ -429,10 +392,9 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                 steps_since_attach += 1
 
                 if (config.adapter_reset_interval is not None
-                        and adapter_spec is not None
                         and adapted_layer_indices(model)
                         and steps_since_attach % config.adapter_reset_interval == 0):
-                    reset_adapters(model, adapter_spec,
+                    reset_adapters(model, growth,
                                    seed=config.seed + 300 + global_step)
                     opt_state = {k: v for k, v in opt_state.items()
                                  if ".adapters." not in k}
@@ -447,7 +409,6 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                 writer.record({"kind": "event", "event": "eval",
                                "step": global_step, "stage": stage_i,
                                "val_loss": report.loss, "val_ppl": report.ppl})
-            record.wall_seconds = time.perf_counter() - stage_start
 
             if out_path is not None:
                 extra = dict(checkpoint_extra or {})

@@ -20,7 +20,7 @@ from stagegrow.autodiff import (Tensor, add, cross_entropy, embedding, matmul,
                                 softmax, sum_all, transpose, grad_check)
 from stagegrow.cli import main as cli_main
 from stagegrow.data import load_corpus
-from stagegrow.growth import (AdapterSpec, GrowthSpec, adapted_layer_indices,
+from stagegrow.growth import (GrowthOptions, adapted_layer_indices,
                               attach_adapters, freeze_layers, grow,
                               merge_adapters, reset_adapters)
 from stagegrow.memory import (ModelShape, embedding_params, layer_params,
@@ -211,10 +211,9 @@ def test_function_preserving_growth():
             for init in ("copy", "mean"):
                 model = build_model(config, seed=seed)
                 before = forward(model, ids).data.copy()
-                spec = GrowthSpec(new_layer_count=1 + (seed // 4) % 3,
-                                  position=positions[seed % 4], init=init,
-                                  fpi=True, seed=seed + 40)
-                grow(model, spec)
+                options = GrowthOptions(position=positions[seed % 4],
+                                        init=init, fpi=True)
+                grow(model, 1 + (seed // 4) % 3, options, seed=seed + 40)
                 after = forward(model, ids).data
                 rel = float(np.max(np.abs(after - before))
                             / np.max(np.abs(before)))
@@ -230,7 +229,7 @@ def test_function_preserving_growth():
 def test_adapter_algebra():
     config = ModelConfig(hidden_dim=24, layer_count=3, head_count=2,
                          vocab_size=64, max_seq_len=16)
-    spec = AdapterSpec(rank=4)
+    options = GrowthOptions(adapter_rank=4)
 
     def randomize(model, rng):
         for i in adapted_layer_indices(model):
@@ -249,7 +248,7 @@ def test_adapter_algebra():
             model = build_model(config, seed=seed)
             base = forward(model, ids).data.copy()
             freeze_layers(model, [0, 1])
-            attach_adapters(model, [0, 1], spec, seed=seed + 500)
+            attach_adapters(model, [0, 1], options, seed=seed + 500)
             assert np.array_equal(base, forward(model, ids).data)
 
             randomize(model, rng)
@@ -261,11 +260,11 @@ def test_adapter_algebra():
             assert rel < 1e-5, (seed, rel)
             worst_merge = max(worst_merge, rel)
 
-            attach_adapters(model, [0, 1], spec, seed=seed + 600)
+            attach_adapters(model, [0, 1], options, seed=seed + 600)
             randomize(model, rng)
             before_reset = forward(model, ids).data.copy()
             trainable_before = param_counts(model).trainable
-            reset_adapters(model, spec, seed=seed + 700)
+            reset_adapters(model, options, seed=seed + 700)
             after_reset = forward(model, ids).data
             rel = float(np.max(np.abs(after_reset - before_reset))
                         / np.max(np.abs(before_reset)))

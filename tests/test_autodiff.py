@@ -11,7 +11,7 @@ from stagegrow.autodiff import (NonFiniteError, Tensor, add, cross_entropy,
                                 reshape, rms_norm, rope, scale, silu, softmax,
                                 sum_all, transpose)
 from stagegrow.data import TokenStream, perplexity
-from stagegrow.growth import AdapterSpec, attach_adapters, freeze_layers
+from stagegrow.growth import GrowthOptions, attach_adapters, freeze_layers
 from stagegrow.model import (ModelConfig, build_model, causal_mask, forward,
                              named_parameters, trainable_parameters)
 
@@ -614,7 +614,7 @@ def staged_model():
     cfg = ModelConfig(hidden_dim=48, layer_count=2, head_count=4, max_seq_len=16)
     model = build_model(cfg, seed=0)
     freeze_layers(model, [0])
-    attach_adapters(model, [0], AdapterSpec(rank=4), seed=1)
+    attach_adapters(model, [0], GrowthOptions(adapter_rank=4), seed=1)
     return model
 
 

@@ -8,7 +8,7 @@ from stagegrow import checkpoint
 from stagegrow.checkpoint import (BLOB_NAME, MANIFEST_NAME, CheckpointError,
                                   DigestError, load_checkpoint,
                                   save_checkpoint, write_json)
-from stagegrow.growth import (AdapterSpec, GrowthSpec, attach_adapters,
+from stagegrow.growth import (GrowthOptions, attach_adapters,
                               freeze_layers, grow)
 from stagegrow.model import (LAYER_TENSOR_NAMES, ModelConfig, build_model,
                              forward, named_parameters)
@@ -23,9 +23,10 @@ def make_model(seed=0, **overrides):
 def make_staged_model(seed=0):
     """A model that has been grown once: frozen originals with adapters."""
     model = make_model(seed=seed)
-    grow(model, GrowthSpec(new_layer_count=2, init="copy", fpi=True))
+    options = GrowthOptions(init="copy", fpi=True, adapter_rank=4)
+    grow(model, 2, options, seed=seed)
     freeze_layers(model, [0, 2])
-    attach_adapters(model, [0, 2], AdapterSpec(rank=4), seed=seed + 1)
+    attach_adapters(model, [0, 2], options, seed=seed + 1)
     return model
 
 
@@ -256,3 +257,17 @@ def test_write_json_is_strict_and_leaves_the_old_file_on_failure(tmp_path, monke
         write_json(path, {"loss": 1.0})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ledger.json"]
+
+
+def test_save_rejects_adapters_that_disagree_on_scale(tmp_path):
+    # The manifest holds one scale for all adapters; writing it would
+    # reload every adapter at the first one's scale.
+    model = make_model()
+    freeze_layers(model, [0, 1])
+    attach_adapters(model, [0], GrowthOptions(adapter_rank=4, adapter_scale=2.0),
+                    seed=1)
+    attach_adapters(model, [1], GrowthOptions(adapter_rank=4, adapter_scale=0.5),
+                    seed=2)
+    with pytest.raises(CheckpointError, match="scale"):
+        save_checkpoint(model, tmp_path / "ck")
+    assert not (tmp_path / "ck").exists()

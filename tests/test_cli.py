@@ -5,6 +5,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from stagegrow import data
+from stagegrow.autodiff import NonFiniteError
 from stagegrow.checkpoint import save_checkpoint
 from stagegrow.cli import EvalOptions, load_run_config, main
 from stagegrow.model import ModelConfig, build_model
@@ -336,6 +338,25 @@ def test_config_sections_round_trip_to_dataclasses(tmp_path, small_corpus_file):
                 assert all(type(v) is float for v in value), f.name
 
 
+def test_train_non_finite_validation_exits_diverged(capsys, tmp_path,
+                                                   small_corpus_file,
+                                                   monkeypatch):
+    # A stage's validation pass runs outside the training step; non-finite
+    # values there are a divergence too, with the ledger flushed.
+    def perplexity(*args, **kwargs):
+        raise NonFiniteError("softmax produced non-finite values")
+
+    monkeypatch.setattr(data, "perplexity", perplexity)
+    run_dir = tmp_path / "run"
+    cfg_path = write_config(tmp_path, small_corpus_file, run_dir)
+    status, _, stderr = run_cli(capsys, "train", "--config", str(cfg_path))
+    assert status == 4
+    assert "diverged: softmax produced non-finite values" in stderr
+    ledger = json.loads((run_dir / "ledger.json").read_text())
+    assert ledger["stages"][0]["steps"] == 6
+    assert not (run_dir / "final_eval.json").exists()
+
+
 def test_train_missing_config_file(capsys, tmp_path):
     status, _, stderr = run_cli(capsys, "train", "--config",
                                 str(tmp_path / "none.json"))
@@ -411,6 +432,20 @@ def test_eval_rejects_empty_evaluation(capsys, tmp_path, small_corpus_file, flag
     assert not (tmp_path / "e.json").exists()
 
 
+def test_eval_non_finite_checkpoint_exits_diverged(capsys, tmp_path,
+                                                   small_corpus_file):
+    model = build_model(ModelConfig(hidden_dim=48, layer_count=1, head_count=4,
+                                    max_seq_len=32), seed=0)
+    model.embed.data[:, 0] = np.nan
+    save_checkpoint(model, tmp_path / "ck", extra={"seq_len": 16})
+    status, _, stderr = run_cli(
+        capsys, "eval", "--checkpoint", str(tmp_path / "ck"),
+        "--corpus", str(small_corpus_file), "--out", str(tmp_path / "e.json"))
+    assert status == 4
+    assert stderr.startswith("diverged:") and "non-finite" in stderr
+    assert not (tmp_path / "e.json").exists()
+
+
 def test_eval_corrupt_checkpoint(capsys, tmp_path, small_corpus_file):
     model = build_model(ModelConfig(hidden_dim=48, layer_count=1, head_count=4),
                         seed=0)
@@ -479,6 +514,31 @@ def test_ablate_pet_axis(capsys, tmp_path, small_corpus_file):
                 for cell in ("with_pet", "without_pet")]
     assert adapters[0] > 0 and adapters[1] == 0
     assert "w/ PET" in stdout
+
+
+def test_ablate_cells_record_validation_fraction(capsys, tmp_path,
+                                                small_corpus_file):
+    # Cell checkpoints carry the split, so eval of a cell scores the same
+    # validation tokens as the cell's own ledger.
+    cfg_path = write_config(tmp_path, small_corpus_file, tmp_path / "run",
+                            validation_fraction=0.2)
+    out = tmp_path / "ablation"
+    status, _, _ = run_cli(capsys, "ablate", "--axis", "pet",
+                           "--config", str(cfg_path), "--out", str(out))
+    assert status == 0
+    for cell in ("with_pet", "without_pet"):
+        stage = out / "cells" / cell / "checkpoints" / "stage_02"
+        manifest = json.loads((stage / "manifest.json").read_text())
+        assert manifest["extra"]["validation_fraction"] == 0.2
+    ledger = json.loads((out / "cells" / "with_pet" / "ledger.json").read_text())
+    status, _, _ = run_cli(
+        capsys, "eval", "--checkpoint",
+        str(out / "cells" / "with_pet" / "checkpoints" / "stage_02"),
+        "--corpus", str(small_corpus_file), "--out", str(tmp_path / "e.json"))
+    assert status == 0
+    payload = json.loads((tmp_path / "e.json").read_text())
+    assert payload["ppl"] == pytest.approx(ledger["stages"][-1]["val_ppl"],
+                                           rel=1e-12)
 
 
 def test_ablate_requires_multi_stage_plan(capsys, tmp_path, small_corpus_file):

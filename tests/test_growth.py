@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from stagegrow.growth import (AdapterSpec, GrowthError, GrowthSpec,
+from stagegrow.growth import (GrowthError, GrowthOptions,
                               adapted_layer_indices, attach_adapters,
                               freeze_layers, grow, insertion_gaps,
-                              merge_adapters, new_layer_indices,
-                              reset_adapters)
+                              merge_adapters, reset_adapters)
 from stagegrow.memory import adapter_params
 from stagegrow.model import (MATRIX_NAMES, ModelConfig, build_model, forward,
                              param_counts)
@@ -22,52 +21,62 @@ def layer_arrays(layer):
     return {n: t.data.copy() for n, t in layer.all_tensors().items()}
 
 
+def added_layers(model, before):
+    """Indices of layers not present in the pre-growth list `before`."""
+    old_ids = {id(layer) for layer in before}
+    return [i for i, layer in enumerate(model.layers) if id(layer) not in old_ids]
+
+
+RANK4 = GrowthOptions(adapter_rank=4)
+
+
 # ---------------------------------------------------------------------------
 # Gap selection
 # ---------------------------------------------------------------------------
 
 def test_gaps_upper():
-    assert insertion_gaps(4, GrowthSpec(2, position="upper")) == [3, 4]
-    assert insertion_gaps(4, GrowthSpec(4, position="upper")) == [1, 2, 3, 4]
+    assert insertion_gaps(4, 2, "upper", 0) == [3, 4]
+    assert insertion_gaps(4, 4, "upper", 0) == [1, 2, 3, 4]
     # More new layers than gaps: extras pile onto the topmost gaps.
-    assert insertion_gaps(2, GrowthSpec(5, position="upper")) == [1, 1, 2, 2, 2]
-    assert insertion_gaps(1, GrowthSpec(3, position="upper")) == [1, 1, 1]
+    assert insertion_gaps(2, 5, "upper", 0) == [1, 1, 2, 2, 2]
+    assert insertion_gaps(1, 3, "upper", 0) == [1, 1, 1]
 
 
 def test_gaps_lower():
-    assert insertion_gaps(4, GrowthSpec(2, position="lower")) == [1, 2]
-    assert insertion_gaps(2, GrowthSpec(5, position="lower")) == [1, 1, 1, 2, 2]
+    assert insertion_gaps(4, 2, "lower", 0) == [1, 2]
+    assert insertion_gaps(2, 5, "lower", 0) == [1, 1, 1, 2, 2]
 
 
 def test_gaps_intermediate():
-    assert insertion_gaps(4, GrowthSpec(2, position="intermediate")) == [2, 4]
-    assert insertion_gaps(4, GrowthSpec(4, position="intermediate")) == [1, 2, 3, 4]
-    assert insertion_gaps(3, GrowthSpec(6, position="intermediate")) == \
+    assert insertion_gaps(4, 2, "intermediate", 0) == [2, 4]
+    assert insertion_gaps(4, 4, "intermediate", 0) == [1, 2, 3, 4]
+    assert insertion_gaps(3, 6, "intermediate", 0) == \
         [1, 1, 2, 2, 3, 3]
-    assert insertion_gaps(6, GrowthSpec(2, position="intermediate")) == [3, 6]
+    assert insertion_gaps(6, 2, "intermediate", 0) == [3, 6]
 
 
 def test_gaps_random_reproducible():
-    spec = GrowthSpec(3, position="random", seed=11)
-    first = insertion_gaps(5, spec)
-    assert first == insertion_gaps(5, spec)
+    first = insertion_gaps(5, 3, "random", 11)
+    assert first == insertion_gaps(5, 3, "random", 11)
     assert first == sorted(first)
     assert all(1 <= g <= 5 for g in first)
-    other = insertion_gaps(5, GrowthSpec(3, position="random", seed=12))
+    other = insertion_gaps(5, 3, "random", 12)
     assert isinstance(other, list)
 
 
 def test_gaps_validation():
     with pytest.raises(GrowthError):
-        insertion_gaps(0, GrowthSpec(1))
-    with pytest.raises(GrowthError):
-        GrowthSpec(0)
-    with pytest.raises(GrowthError):
-        GrowthSpec(1, position="sideways")
-    with pytest.raises(GrowthError):
-        GrowthSpec(1, init="zeros")
-    with pytest.raises(GrowthError):
-        GrowthSpec(1, position="random")  # no seed
+        insertion_gaps(0, 1, "upper", 0)
+    with pytest.raises(GrowthError, match="new_count"):
+        grow(make_model(), 0, GrowthOptions(), seed=0)
+    with pytest.raises(GrowthError, match="position"):
+        insertion_gaps(4, 1, "sideways", 0)
+    with pytest.raises(GrowthError, match="position"):
+        GrowthOptions(position="sideways")
+    with pytest.raises(GrowthError, match="init"):
+        GrowthOptions(init="zeros")
+    with pytest.raises(GrowthError, match="adapter_rank"):
+        GrowthOptions(adapter_rank=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +86,8 @@ def test_gaps_validation():
 def test_doubling_interleaves():
     model = make_model(layer_count=2)
     a, b = model.layers
-    grow(model, GrowthSpec(2, position="upper", init="copy"))
+    assert grow(model, 2, GrowthOptions(position="upper", init="copy"),
+                seed=0) == [1, 3]
     # (A, B) -> (A, A', B, B'): each clone sits directly above its source.
     assert model.layers[0] is a
     assert model.layers[2] is b
@@ -96,7 +106,7 @@ def test_mean_init_with_top_gap_fallback():
     model = make_model(layer_count=2)
     below0 = layer_arrays(model.layers[0])
     below1 = layer_arrays(model.layers[1])
-    grow(model, GrowthSpec(2, position="upper", init="mean"))
+    grow(model, 2, GrowthOptions(position="upper", init="mean"), seed=0)
     mid, top = model.layers[1], model.layers[3]
     for name in below0:
         assert np.array_equal(getattr(mid, name).data,
@@ -113,18 +123,18 @@ def test_mean_init_with_top_gap_fallback():
 def test_new_layer_positions(position, expected):
     model = make_model(layer_count=4)
     before = list(model.layers)
-    grow(model, GrowthSpec(2, position=position, init="copy"))
-    assert new_layer_indices(model, before) == expected
+    assert grow(model, 2, GrowthOptions(position=position, init="copy"),
+                seed=0) == expected
+    assert added_layers(model, before) == expected
     assert model.config.layer_count == 6
 
 
 def test_grow_random_position():
     model = make_model(layer_count=4)
     before = list(model.layers)
-    spec = GrowthSpec(2, position="random", init="copy", seed=9)
-    gaps = insertion_gaps(4, spec)
-    grow(model, spec)
-    got = new_layer_indices(model, before)
+    gaps = insertion_gaps(4, 2, "random", 9)
+    got = grow(model, 2, GrowthOptions(position="random", init="copy"), seed=9)
+    assert got == added_layers(model, before)
     # Each new layer sits above its gap layer, shifted by insertions below.
     expected = [g + i for i, g in enumerate(gaps)]
     assert got == expected
@@ -135,7 +145,9 @@ def test_grow_preserves_old_layers():
     model.layers[0].set_frozen(True)
     snapshots = [layer_arrays(layer) for layer in model.layers]
     before = list(model.layers)
-    grow(model, GrowthSpec(2, position="intermediate", init="mean"))
+    fresh = grow(model, 2, GrowthOptions(position="intermediate", init="mean"),
+                 seed=0)
+    assert fresh == added_layers(model, before)
     kept = [layer for layer in model.layers if layer in before]
     assert kept == before
     for layer, snap in zip(before, snapshots):
@@ -143,7 +155,7 @@ def test_grow_preserves_old_layers():
             assert np.array_equal(getattr(layer, name).data, arr)
     assert before[0].frozen
     # New layers start trainable.
-    for i in new_layer_indices(model, before):
+    for i in fresh:
         assert not model.layers[i].frozen
 
 
@@ -154,7 +166,8 @@ def test_function_preserving_growth(seed, position):
     rng = np.random.default_rng(seed)
     tokens = rng.integers(0, 256, size=(2, 10))
     base = forward(model, tokens).data
-    grow(model, GrowthSpec(2, position=position, init="mean", fpi=True))
+    grow(model, 2, GrowthOptions(position=position, init="mean", fpi=True),
+         seed=0)
     grown = forward(model, tokens).data
     # Zeroed residual outputs add exact zeros: bit-for-bit the same logits.
     assert np.array_equal(base, grown)
@@ -164,7 +177,7 @@ def test_growth_without_fpi_changes_function():
     model = make_model(layer_count=2, seed=0, hidden_dim=12)
     tokens = np.random.default_rng(0).integers(0, 256, size=(1, 8))
     base = forward(model, tokens).data
-    grow(model, GrowthSpec(2, init="mean"))
+    grow(model, 2, GrowthOptions(init="mean"), seed=0)
     assert not np.array_equal(base, forward(model, tokens).data)
 
 
@@ -181,21 +194,21 @@ def test_freeze_layers():
 def test_attach_requires_frozen():
     model = make_model(layer_count=2)
     with pytest.raises(GrowthError):
-        attach_adapters(model, [0], AdapterSpec(rank=4), seed=0)
+        attach_adapters(model, [0], RANK4, seed=0)
 
 
 def test_attach_rejects_double():
     model = make_model(layer_count=2)
     freeze_layers(model, [0])
-    attach_adapters(model, [0], AdapterSpec(rank=4), seed=0)
+    attach_adapters(model, [0], RANK4, seed=0)
     with pytest.raises(GrowthError):
-        attach_adapters(model, [0], AdapterSpec(rank=4), seed=1)
+        attach_adapters(model, [0], RANK4, seed=1)
 
 
 def test_adapter_census_and_spec():
     model = make_model(layer_count=2, hidden_dim=48)
     freeze_layers(model, [0])
-    attach_adapters(model, [0], AdapterSpec(rank=4), seed=0)
+    attach_adapters(model, [0], RANK4, seed=0)
     layer = model.layers[0]
     assert set(layer.adapters) == set(MATRIX_NAMES)
     assert layer.adapter_param_count() == adapter_params(48, 4)
@@ -210,10 +223,14 @@ def test_adapter_census_and_spec():
         assert adapter.scale == 0.25
     model2 = make_model(layer_count=2, hidden_dim=48)
     freeze_layers(model2, [0])
-    attach_adapters(model2, [0], AdapterSpec(rank=4, scale=2.0), seed=0)
+    attach_adapters(model2, [0], GrowthOptions(adapter_rank=4, adapter_scale=2.0),
+                    seed=0)
     assert model2.layers[0].adapters["w_q"].scale == 2.0
-    with pytest.raises(GrowthError):
-        AdapterSpec(rank=0)
+    model3 = make_model(layer_count=2, hidden_dim=48)
+    freeze_layers(model3, [0])
+    with pytest.raises(GrowthError, match="adapter_rank"):
+        attach_adapters(model3, [0], GrowthOptions(adapter_rank=0), seed=0)
+    assert not model3.layers[0].adapters
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -222,14 +239,14 @@ def test_attach_is_identity(seed):
     tokens = np.random.default_rng(seed).integers(0, 256, size=(2, 8))
     base = forward(model, tokens).data
     freeze_layers(model, [0, 1])
-    attach_adapters(model, [0, 1], AdapterSpec(rank=4), seed=seed + 50)
+    attach_adapters(model, [0, 1], RANK4, seed=seed + 50)
     assert np.array_equal(base, forward(model, tokens).data)
 
 
 def test_merge_matches_dense_oracle():
     model = make_model(layer_count=1, hidden_dim=12, seed=3)
     freeze_layers(model, [0])
-    attach_adapters(model, [0], AdapterSpec(rank=2), seed=4)
+    attach_adapters(model, [0], GrowthOptions(adapter_rank=2), seed=4)
     layer = model.layers[0]
     rng = np.random.default_rng(5)
     for adapter in layer.adapters.values():
@@ -258,7 +275,7 @@ def test_merge_matches_dense_oracle():
 def test_merge_of_untouched_adapter_is_noop():
     model = make_model(layer_count=2, seed=1)
     freeze_layers(model, [0])
-    attach_adapters(model, [0], AdapterSpec(rank=4), seed=2)
+    attach_adapters(model, [0], RANK4, seed=2)
     weights = layer_arrays(model.layers[0])
     merge_adapters(model)
     for name, arr in weights.items():
@@ -268,7 +285,7 @@ def test_merge_of_untouched_adapter_is_noop():
 def test_reset_adapters():
     model = make_model(layer_count=2, seed=2, hidden_dim=12)
     freeze_layers(model, [0])
-    attach_adapters(model, [0], AdapterSpec(rank=4), seed=3)
+    attach_adapters(model, [0], RANK4, seed=3)
     layer = model.layers[0]
     rng = np.random.default_rng(6)
     for adapter in layer.adapters.values():
@@ -277,7 +294,7 @@ def test_reset_adapters():
     tokens = rng.integers(0, 256, size=(1, 8))
     before = forward(model, tokens).data
 
-    reset_adapters(model, AdapterSpec(rank=4), seed=7)
+    reset_adapters(model, RANK4, seed=7)
     assert adapted_layer_indices(model) == [0]
     assert layer.adapter_param_count() == adapter_params(12, 4)
     for name, adapter in layer.adapters.items():

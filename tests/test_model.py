@@ -5,7 +5,7 @@ import pytest
 
 from stagegrow import autodiff
 from stagegrow.autodiff import cross_entropy
-from stagegrow.growth import AdapterSpec, attach_adapters, freeze_layers
+from stagegrow.growth import GrowthOptions, attach_adapters, freeze_layers
 from stagegrow.memory import layer_params
 from stagegrow.model import (MASK_VALUE, ModelConfig, build_model, causal_mask,
                              forward, named_parameters, param_counts,
@@ -258,7 +258,7 @@ def test_forward_matmul_flops_follow_the_benchmark_contract(monkeypatch):
     cfg = small_config(hidden_dim=d, layer_count=3, max_seq_len=seq)
     model = build_model(cfg, seed=0)
     freeze_layers(model, [0, 1])
-    attach_adapters(model, [0, 1], AdapterSpec(rank=rank), seed=1)
+    attach_adapters(model, [0, 1], GrowthOptions(adapter_rank=rank), seed=1)
     params = {id(t.data): name for name, t in named_parameters(model)}
     calls = []
     orig = autodiff.matmul
@@ -305,7 +305,7 @@ def test_attention_records_two_score_sized_nodes_per_layer(monkeypatch):
     batch, seq = 2, 16  # seq != head_dim, so no other node has this shape
     model = build_model(cfg, seed=0)
     freeze_layers(model, [0, 1])
-    attach_adapters(model, [0, 1], AdapterSpec(rank=4), seed=1)
+    attach_adapters(model, [0, 1], GrowthOptions(adapter_rank=4), seed=1)
     made = []
     orig = autodiff._node
 
@@ -342,7 +342,7 @@ def d96_step_peaks():
     vanilla = build_model(cfg, seed=0)
     staged = build_model(cfg, seed=0)
     freeze_layers(staged, range(4))
-    attach_adapters(staged, range(4), AdapterSpec(rank=8), seed=1)
+    attach_adapters(staged, range(4), GrowthOptions(adapter_rank=8), seed=1)
     peaks = {}
     for name, model in (("vanilla", vanilla), ("staged", staged)):
         _step_peak_bytes(model, tokens)  # warm caches (causal mask)

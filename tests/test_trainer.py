@@ -8,10 +8,11 @@ import pytest
 from conftest import record_line
 
 from stagegrow import autodiff as ad
+from stagegrow import trainer
 from stagegrow.autodiff import Tensor
 from stagegrow.checkpoint import load_checkpoint
 from stagegrow.data import batch_cycle, load_corpus
-from stagegrow.growth import GrowthError
+from stagegrow.growth import GrowthError, attach_adapters, freeze_layers
 from stagegrow.memory import (ModelShape, embedding_params, stage_state_bytes,
                               vanilla_state_bytes)
 from stagegrow.model import (ModelConfig, build_model, forward,
@@ -208,10 +209,16 @@ def test_growth_options_reject_bad_policy_when_built(overrides):
         GrowthOptions(**overrides)
 
 
-def test_growth_options_adapter_spec():
-    assert GrowthOptions(adapter_rank=0).adapter_spec() is None
-    spec = GrowthOptions(adapter_rank=4).adapter_spec()
-    assert spec.rank == 4 and spec.effective_scale == 0.25
+def test_growth_options_default_adapter_scale():
+    # adapter_scale None resolves to 1/rank when adapters attach.
+    model = build_model(MODEL_CONFIG, seed=0)
+    freeze_layers(model, [0, 1])
+    attach_adapters(model, [0], GrowthOptions(adapter_rank=4), seed=0)
+    adapters = model.layers[0].adapters.values()
+    assert {(a.rank, a.scale) for a in adapters} == {(4, 0.25)}
+    # Rank 0 means no adapters: attaching with it is refused.
+    with pytest.raises(GrowthError, match="adapter_rank"):
+        attach_adapters(model, [1], GrowthOptions(adapter_rank=0), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +474,23 @@ def test_adapter_reset_events(streams):
     for layer in result.model.layers:
         if layer.frozen:
             assert layer.adapters
+
+
+def test_boundary_moves_go_through_trainer_attributes(streams, monkeypatch):
+    # Profilers wrap these module attributes to time the boundary moves and
+    # to mark where a stage starts, so run_schedule must look them up there.
+    calls = []
+    for name in ("merge_adapters", "grow", "freeze_layers", "attach_adapters"):
+        def wrapper(*args, _orig=getattr(trainer, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(trainer, name, wrapper)
+    train, _ = streams
+    result = run_schedule(MODEL_CONFIG, (2, 2), train_config(total_steps=4),
+                          GrowthOptions(adapter_rank=4), train, None)
+    assert calls == ["merge_adapters", "grow", "freeze_layers", "attach_adapters"]
+    grown = result.ledger.stages[1].events[0]
+    assert (grown["new_layers"], grown["frozen_layers"]) == ([1, 3], [0, 2])
 
 
 def test_run_log_tracks_schedule(streams, tmp_path):
