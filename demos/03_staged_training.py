@@ -14,7 +14,7 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
-from stagegrow.data import load_corpus
+from stagegrow.data import EvalOptions, load_corpus
 from stagegrow.memory import (ModelShape, embedding_params, stage_state_bytes,
                               vanilla_state_bytes)
 from stagegrow.model import ModelConfig
@@ -58,7 +58,7 @@ growth = GrowthOptions(position="upper", init="mean", fpi=True,
 print(f"plan {plan.increments}: grow at "
       f"{train_config.growth_fraction:.0%} of {train_config.total_steps} steps\n")
 result = run_schedule(config, plan, train_config, growth, train_stream,
-                      val_stream, eval_max_windows=128)
+                      val_stream, evaluation=EvalOptions(max_windows=128))
 ledger = result.ledger
 
 shape = ModelShape(48, 4, adapter_rank=4)

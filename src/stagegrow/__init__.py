@@ -20,10 +20,10 @@ from .growth import (GrowthError, GrowthOptions, attach_adapters,
                      reset_adapters)
 from .checkpoint import (CheckpointError, DigestError, load_checkpoint,
                          save_checkpoint)
-from .data import (CorpusError, PplReport, TokenStream, batch_cycle, batches,
-                   load_corpus, perplexity, window_count)
-from .trainer import (DivergenceError, RunLedger, RunResult, StageRecord,
-                      TrainConfig, adamw_step, clip_gradients, lr_at,
-                      run_schedule, simulated_bytes)
+from .data import (CorpusError, EvalOptions, PplReport, TokenStream,
+                   batch_cycle, batches, load_corpus, perplexity, window_count)
+from .trainer import (RunLedger, RunResult, StageRecord, TrainConfig,
+                      adamw_step, clip_gradients, lr_at, run_schedule,
+                      simulated_bytes)
 
 __version__ = "0.1.0"

@@ -6,8 +6,9 @@ flag, byte offset into the blob) in deterministic order.  An array is
 frozen when it takes no gradient; only a layer's own arrays may be, and
 then all nine of them.  params.bin holds the arrays back to back as
 little-endian float32 in that order.  The manifest stores the blob's
-sha256 and the loader verifies it, so loading a checkpoint either
-reproduces the saved model bit-for-bit or fails loudly.
+sha256; the loader verifies it, and that each array starts where the one
+before it ends, so loading a checkpoint either reproduces the saved model
+bit-for-bit or fails loudly.
 
 Run artifacts, checkpoints included, are written by `write_atomic` and
 `write_json`: a temp file in the target's directory, then `os.replace`.
@@ -113,17 +114,6 @@ def save_checkpoint(model: ToyModel, directory: str | Path,
     return directory
 
 
-def _read_array(blob: bytes, entry: dict) -> np.ndarray:
-    shape = tuple(entry["shape"])
-    count = int(np.prod(shape)) if shape else 1
-    start = entry["offset"]
-    end = start + 4 * count
-    if end > len(blob):
-        raise CheckpointError(f"array {entry['name']} overruns the blob")
-    flat = np.frombuffer(blob[start:end], dtype=BLOB_DTYPE)
-    return flat.reshape(shape).astype(np.float32)
-
-
 def load_checkpoint(directory: str | Path) -> tuple[ToyModel, dict]:
     """Rebuild the model from a checkpoint directory; returns (model, manifest).
 
@@ -156,8 +146,23 @@ def _rebuild(manifest: dict, blob: bytes) -> ToyModel:
         raise DigestError("blob sha256 does not match the manifest")
 
     config = ModelConfig(**manifest["config"])
-    arrays = {e["name"]: (_read_array(blob, e), e["frozen"])
-              for e in manifest["arrays"]}
+    arrays = {}
+    offset = 0  # the arrays lie back to back, in table order
+    for e in manifest["arrays"]:
+        shape = tuple(e["shape"])
+        end = offset + 4 * int(np.prod(shape))
+        if e["offset"] != offset:
+            raise CheckpointError(f"malformed manifest: array {e['name']} at "
+                                  f"offset {e['offset']!r}, expected {offset}")
+        if end > len(blob):
+            raise CheckpointError(f"malformed manifest: array {e['name']} "
+                                  "overruns the blob")
+        data = np.frombuffer(blob[offset:end], dtype=BLOB_DTYPE)
+        arrays[e["name"]] = (data.reshape(shape).astype(np.float32), e["frozen"])
+        offset = end
+    if offset != len(blob):
+        raise CheckpointError(f"malformed manifest: arrays cover {offset} "
+                              f"of the blob's {len(blob)} bytes")
 
     def take(name: str, can_freeze: bool = False) -> Tensor:
         if name not in arrays:

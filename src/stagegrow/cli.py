@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 invalid input (bad flags, malformed config,
 missing files, corrupt checkpoints), 3 infeasible plan or budget,
 4 divergence: a non-finite training loss, or non-finite values in any
 forward pass (a validation pass, or `eval` of a checkpoint holding NaN or
-inf weights).
+inf weights).  `eval` validates as the checkpoint's data.EvalOptions
+record says, each flag overriding its one value.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import json
 import sys
 import typing
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 from . import checkpoint as ckpt
@@ -22,12 +23,13 @@ from . import data as data_lib
 from . import memory as memory_lib
 from . import planner as planner_lib
 from .autodiff import NonFiniteError
+from .data import EvalOptions
 from .growth import POSITIONS, GrowthOptions
 from .memory import ModelShape, format_gb
 from .model import ModelConfig
 from .planner import (BudgetError, PlanInfeasibleError, StagePlan,
                       solve_exact, solve_rounded, token_budget)
-from .trainer import DivergenceError, TrainConfig, run_schedule
+from .trainer import TrainConfig, run_schedule
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -39,19 +41,6 @@ SOLVERS = {"exact": solve_exact, "rounded": solve_rounded}
 
 class ConfigError(ValueError):
     """Malformed run configuration; message carries the JSON path."""
-
-
-@dataclass(frozen=True)
-class EvalOptions:
-    """How a perplexity pass batches its windows; max_windows None = all."""
-
-    batch_size: int = 8
-    max_windows: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1 or (self.max_windows is not None
-                                   and self.max_windows < 1):
-            raise ValueError("batch_size and max_windows must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +148,8 @@ def load_run_config(path: str | Path) -> tuple[
 
     growth = _section(GrowthOptions, cfg.get("growth", {}), "$.growth")
     train = _section(TrainConfig, cfg["train"], "$.train")
-    eval_opts = _section(EvalOptions, cfg.get("eval", {}), "$.eval")
+    evaluation = _section(EvalOptions, cfg.get("eval", {}), "$.eval",
+                          validation_fraction=vf)
     # The plan may need hidden_dim to solve; layer_count then comes from it.
     model = _section(ModelConfig, cfg["model"], "$.model", layer_count=1)
 
@@ -186,7 +176,7 @@ def load_run_config(path: str | Path) -> tuple[
     missing = [p for p in corpus if not Path(p).is_file()]
     if missing:
         raise ConfigError(f"corpus file(s) not found: {missing}")
-    return cfg, plan, model, train, growth, eval_opts
+    return cfg, plan, model, train, growth, evaluation
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +326,15 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, plan, model_cfg, train_cfg, growth, eval_opts = load_run_config(args.config)
+    cfg, plan, model_cfg, train_cfg, growth, evaluation = load_run_config(args.config)
     if args.run_dir is not None:
         cfg["run_dir"] = args.run_dir
     run_dir = Path(cfg["run_dir"])
     if run_dir.exists():
         raise ConfigError(f"run_dir already exists: {run_dir}")
 
-    vf = cfg.get("validation_fraction", data_lib.VALIDATION_FRACTION)
-    train_stream, val_stream = data_lib.load_corpus(cfg["corpus"], vf)
+    train_stream, val_stream = data_lib.load_corpus(
+        cfg["corpus"], evaluation.validation_fraction)
 
     run_dir.mkdir(parents=True)
     snapshot = dict(cfg)
@@ -352,20 +342,11 @@ def cmd_train(args) -> int:
     snapshot["corpus_digest"] = train_stream.digest
     ckpt.write_json(run_dir / "config.json", snapshot)
 
-    result = run_schedule(
-        model_cfg, plan, train_cfg, growth, train_stream, val_stream,
-        eval_batch_size=eval_opts.batch_size,
-        eval_max_windows=eval_opts.max_windows,
-        out_dir=run_dir,
-        checkpoint_extra={"validation_fraction": vf})
+    result = run_schedule(model_cfg, plan, train_cfg, growth, train_stream,
+                          val_stream, evaluation=evaluation, out_dir=run_dir)
 
     last = result.ledger.stages[-1]
-    ckpt.write_json(run_dir / "final_eval.json", {
-        "split": val_stream.split,
-        "tokens": len(val_stream),
-        "loss": last.val_loss,
-        "ppl": last.val_ppl,
-    })
+    ckpt.write_json(run_dir / "final_eval.json", asdict(result.validation))
 
     print(f"trained plan {plan.describe()} for {result.ledger.total_steps} steps")
     print(f"peak simulated bytes {result.ledger.peak_simulated_bytes} "
@@ -385,22 +366,22 @@ def cmd_eval(args) -> int:
             return flag
         return _field(hint, extra.get(key, default), f"manifest extra.{key}")
 
-    vf = setting(args.validation_fraction, "validation_fraction", float,
-                 data_lib.VALIDATION_FRACTION)
     seq_len = setting(args.seq_len, "seq_len", int, TrainConfig.seq_len)
-    opts = EvalOptions(
+    evaluation = EvalOptions(
+        setting(args.validation_fraction, "validation_fraction", float,
+                EvalOptions.validation_fraction),
         setting(args.batch_size, "eval_batch_size", int, EvalOptions.batch_size),
-        setting(args.max_windows, "eval_max_windows", int | None, None))
+        setting(args.max_windows, "eval_max_windows", int | None,
+                EvalOptions.max_windows))
 
-    _, val_stream = data_lib.load_corpus(args.corpus, vf)
+    _, val_stream = data_lib.load_corpus(args.corpus,
+                                         evaluation.validation_fraction)
     recorded = extra.get("corpus_digest")
     if recorded is not None and recorded != val_stream.digest:
         print(f"note: corpus digest {val_stream.digest[:12]} differs from the "
               f"checkpoint's training corpus {recorded[:12]}", file=sys.stderr)
 
-    report = data_lib.perplexity(model, val_stream, seq_len,
-                                 batch_size=opts.batch_size,
-                                 max_windows=opts.max_windows)
+    report = data_lib.perplexity(model, val_stream, seq_len, evaluation)
     payload = {"split": report.split, "tokens": report.tokens,
                "loss": report.loss, "ppl": report.ppl,
                "checkpoint": str(args.checkpoint),
@@ -434,7 +415,7 @@ def _cell_slug(label: str) -> str:
 
 
 def cmd_ablate(args) -> int:
-    cfg, plan, model_cfg, train_cfg, growth, eval_opts = load_run_config(args.config)
+    cfg, plan, model_cfg, train_cfg, growth, evaluation = load_run_config(args.config)
     if plan.stage_count < 2:
         raise ConfigError("ablations need a plan with at least two stages")
     if args.axis == "pet" and growth.adapter_rank < 1:
@@ -443,18 +424,15 @@ def cmd_ablate(args) -> int:
     if root.exists():
         raise ConfigError(f"output directory already exists: {root}")
 
-    vf = cfg.get("validation_fraction", data_lib.VALIDATION_FRACTION)
-    train_stream, val_stream = data_lib.load_corpus(cfg["corpus"], vf)
+    train_stream, val_stream = data_lib.load_corpus(
+        cfg["corpus"], evaluation.validation_fraction)
 
     rows = []
     for label, growth_overrides, train_overrides in ABLATION_CELLS[args.axis]:
         result = run_schedule(
             model_cfg, plan, replace(train_cfg, **train_overrides),
             replace(growth, **growth_overrides), train_stream, val_stream,
-            eval_batch_size=eval_opts.batch_size,
-            eval_max_windows=eval_opts.max_windows,
-            out_dir=root / "cells" / _cell_slug(label),
-            checkpoint_extra={"validation_fraction": vf})
+            evaluation=evaluation, out_dir=root / "cells" / _cell_slug(label))
         last = result.ledger.stages[-1]
         rows.append({
             "cell": label,
@@ -539,7 +517,7 @@ def main(argv=None) -> int:
     except (PlanInfeasibleError, BudgetError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DivergenceError, NonFiniteError) as exc:
+    except NonFiniteError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (ValueError, OSError) as exc:  # every input error is a ValueError

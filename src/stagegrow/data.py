@@ -5,7 +5,9 @@ given order; token ids are the byte values (vocab 256).  The validation
 split is the final fraction of the stream, so train and validation never
 overlap.  Batching chops a stream into non-overlapping windows of
 seq_len + 1 bytes (inputs are the first seq_len, targets the last) and
-shuffles window order with a seeded generator.
+shuffles window order with a seeded generator.  EvalOptions is the one
+record of how a run validates, from the config through training and its
+checkpoints to `stagegrow eval`.
 """
 
 from __future__ import annotations
@@ -82,12 +84,18 @@ def window_count(stream_len: int, seq_len: int) -> int:
     return max(0, (stream_len - 1) // seq_len)
 
 
-def _window_matrix(stream: TokenStream, seq_len: int) -> np.ndarray:
-    """(windows, seq_len+1) view of the stream's complete windows."""
+def require_windows(stream: TokenStream, seq_len: int) -> int:
+    """window_count of the stream; CorpusError if not even one window fits."""
     n = window_count(len(stream), seq_len)
     if n < 1:
         raise CorpusError(
             f"stream of {len(stream)} bytes is too short for seq_len {seq_len}")
+    return n
+
+
+def _window_matrix(stream: TokenStream, seq_len: int) -> np.ndarray:
+    """(windows, seq_len+1) view of the stream's complete windows."""
+    n = require_windows(stream, seq_len)
     flat = stream.ids[:n * seq_len + 1]
     # Window w covers [w*seq_len, w*seq_len + seq_len]; neighbours share one byte.
     idx = np.arange(n)[:, None] * seq_len + np.arange(seq_len + 1)[None, :]
@@ -125,6 +133,25 @@ def batch_cycle(stream: TokenStream, seq_len: int, batch_size: int,
 
 
 @dataclass(frozen=True)
+class EvalOptions:
+    """How a run validates: the tail it holds out, the windows it scores.
+
+    validation_fraction is checked by load_corpus, which splits by it;
+    perplexity puts batch_size windows through each forward and stops
+    after max_windows (None = every window).
+    """
+
+    validation_fraction: float = VALIDATION_FRACTION
+    batch_size: int = 8
+    max_windows: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1 or (self.max_windows is not None
+                                   and self.max_windows < 1):
+            raise ValueError("batch_size and max_windows must be >= 1")
+
+
+@dataclass(frozen=True)
 class PplReport:
     split: str
     tokens: int
@@ -132,21 +159,19 @@ class PplReport:
     ppl: float   # exp(loss)
 
 
-def perplexity(model, stream: TokenStream, seq_len: int, batch_size: int = 8,
-               max_windows: int | None = None) -> PplReport:
+def perplexity(model, stream: TokenStream, seq_len: int,
+               options: EvalOptions = EvalOptions()) -> PplReport:
     """Mean cross-entropy and perplexity over the stream's windows, in order.
 
-    max_windows caps evaluation to the first windows of the stream (a
-    deterministic subset); None evaluates everything.  Runs under
+    Batches and caps the windows by `options` (its validation_fraction is
+    the caller's: the stream is already split).  Runs under
     autodiff.no_grad, so no graph is built.
     """
-    windows = _window_matrix(stream, seq_len)
-    if max_windows is not None:
-        windows = windows[:max_windows]
+    windows = _window_matrix(stream, seq_len)[:options.max_windows]
     total_nats = 0.0
     total_tokens = 0
-    for start in range(0, windows.shape[0], batch_size):
-        block = windows[start:start + batch_size].astype(np.int64)
+    for start in range(0, windows.shape[0], options.batch_size):
+        block = windows[start:start + options.batch_size].astype(np.int64)
         inputs, targets = block[:, :-1], block[:, 1:]
         with ad.no_grad():
             logits = model_lib.forward(model, inputs)

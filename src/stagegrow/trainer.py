@@ -36,10 +36,6 @@ from .model import ModelConfig, ToyModel, build_model, param_counts
 from .planner import StagePlan, split_steps, stage_flops
 
 
-class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss; the ledger was flushed first."""
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     total_steps: int
@@ -252,7 +248,7 @@ def simulated_bytes(model: ToyModel) -> int:
 class RunResult:
     model: ToyModel
     ledger: RunLedger
-    out_dir: Path | None
+    validation: data_lib.PplReport | None  # the last stage's validation pass
 
 
 class _RunWriter:
@@ -283,22 +279,26 @@ class _RunWriter:
 def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig,
                  growth: GrowthOptions, train_stream: data_lib.TokenStream,
                  val_stream: data_lib.TokenStream | None, *,
-                 eval_batch_size: int = 8, eval_max_windows: int | None = None,
+                 evaluation: data_lib.EvalOptions = data_lib.EvalOptions(),
                  out_dir: str | Path | None = None,
-                 checkpoint_extra: dict | None = None,
                  dtype=np.float32) -> RunResult:
     """Train a full stage plan from scratch; returns the model and ledger.
 
     model_config.layer_count must equal the plan's first increment; growth
     events supply the rest.  With a single-stage plan this is exactly a
-    plain training loop.  A non-finite loss aborts with DivergenceError
-    after flushing the ledger; non-finite gradients skip the step.
+    plain training loop.  Each stage ends with a validation pass over
+    val_stream, run as `evaluation` says; `evaluation` is recorded in every
+    checkpoint, so `stagegrow eval` repeats the pass.  A non-finite loss or
+    validation pass notes a `diverged` event, flushes the ledger and
+    re-raises the NonFiniteError; non-finite gradients skip the step.
     """
     plan = StagePlan.of(plan)
     if model_config.layer_count != plan.increments[0]:
         raise ValueError(
             f"model_config.layer_count {model_config.layer_count} must match "
             f"the first stage increment {plan.increments[0]}")
+    if val_stream is not None:  # before any stage trains
+        data_lib.require_windows(val_stream, config.seq_len)
 
     out_path = Path(out_dir) if out_dir is not None else None
     writer = _RunWriter(out_path)
@@ -311,17 +311,17 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                               config.growth_fraction)
     opt_state: dict = {}
     global_step = 0
+    report = None
+
+    def note(event: str, **fields) -> None:  # into the stage's ledger and the log
+        entry = {"kind": "event", "event": event, "step": global_step,
+                 "stage": stage_i, **fields}
+        events.append(entry)
+        writer.record(entry)
 
     try:
         for stage_i, n_steps in enumerate(stage_steps, start=1):
             events: list[dict] = []
-
-            def note(event: str, **fields) -> None:  # into the ledger and the log
-                entry = {"kind": "event", "event": event, "step": global_step,
-                         "stage": stage_i, **fields}
-                events.append(entry)
-                writer.record(entry)
-
             if stage_i > 1:
                 # Boundary: merge adapters, grow, freeze old, fresh adapters.
                 merge_adapters(model)
@@ -349,25 +349,18 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
             ledger.stages.append(record)
 
             growth_boundaries = [sum(stage_steps[:j]) for j in range(1, stage_i)]
-            steps_since_attach = 0
             for _ in range(n_steps):
                 lr = lr_at(global_step, growth_boundaries, config)
                 inputs, targets = next(batches)
                 trainables = model_lib.trainable_parameters(model)
                 for _, t in trainables:
                     t.zero_grad()
-                try:
-                    # No handle on the logits: backward reads none of them.
-                    loss = ad.cross_entropy(model_lib.forward(model, inputs),
-                                            targets)
-                    loss_value = float(loss.data)
-                    if not math.isfinite(loss_value):
-                        raise NonFiniteError("loss is not finite")
-                    loss.backward()
-                except NonFiniteError as exc:
-                    note("diverged", detail=str(exc))
-                    raise DivergenceError(
-                        f"non-finite loss at step {global_step}: {exc}") from exc
+                # No handle on the logits: backward reads none of them.
+                loss = ad.cross_entropy(model_lib.forward(model, inputs), targets)
+                loss_value = float(loss.data)
+                if not math.isfinite(loss_value):
+                    raise NonFiniteError("loss is not finite")
+                loss.backward()
 
                 norm = clip_gradients(trainables, config.grad_clip)
                 norm_finite = math.isfinite(norm)
@@ -389,11 +382,10 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                                "grad_norm_finite": norm_finite,
                                "tokens": record.tokens})
                 global_step += 1
-                steps_since_attach += 1
 
                 if (config.adapter_reset_interval is not None
                         and adapted_layer_indices(model)
-                        and steps_since_attach % config.adapter_reset_interval == 0):
+                        and record.steps % config.adapter_reset_interval == 0):
                     reset_adapters(model, growth,
                                    seed=config.seed + 300 + global_step)
                     opt_state = {k: v for k, v in opt_state.items()
@@ -401,9 +393,8 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                     note("adapter_reset")
 
             if val_stream is not None:
-                report = data_lib.perplexity(
-                    model, val_stream, config.seq_len,
-                    batch_size=eval_batch_size, max_windows=eval_max_windows)
+                report = data_lib.perplexity(model, val_stream, config.seq_len,
+                                             evaluation)
                 record.val_loss = report.loss
                 record.val_ppl = report.ppl
                 writer.record({"kind": "event", "event": "eval",
@@ -411,22 +402,20 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                                "val_loss": report.loss, "val_ppl": report.ppl})
 
             if out_path is not None:
-                extra = dict(checkpoint_extra or {})
-                extra.update({
-                    "stage": stage_i,
-                    "seq_len": config.seq_len,
-                    "eval_batch_size": eval_batch_size,
-                    "eval_max_windows": eval_max_windows,
-                    "corpus_digest": train_stream.digest,
-                    "val_loss": record.val_loss,
-                    "val_ppl": record.val_ppl,
-                })
                 ckpt.save_checkpoint(
                     model, out_path / "checkpoints" / f"stage_{stage_i:02d}",
-                    extra=extra)
+                    extra={"stage": stage_i, "seq_len": config.seq_len,
+                           "validation_fraction": evaluation.validation_fraction,
+                           "eval_batch_size": evaluation.batch_size,
+                           "eval_max_windows": evaluation.max_windows,
+                           "corpus_digest": train_stream.digest,
+                           "val_loss": record.val_loss, "val_ppl": record.val_ppl})
             writer.flush_ledger(ledger)
+    except NonFiniteError as exc:
+        note("diverged", detail=str(exc))
+        raise
     finally:
         writer.flush_ledger(ledger)
         writer.close()
 
-    return RunResult(model=model, ledger=ledger, out_dir=out_path)
+    return RunResult(model=model, ledger=ledger, validation=report)

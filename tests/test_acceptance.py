@@ -19,7 +19,7 @@ from stagegrow.autodiff import (Tensor, add, cross_entropy, embedding, matmul,
                                 mul, reshape, rms_norm, rope, scale, silu,
                                 softmax, sum_all, transpose, grad_check)
 from stagegrow.cli import main as cli_main
-from stagegrow.data import load_corpus
+from stagegrow.data import EvalOptions, load_corpus
 from stagegrow.growth import (GrowthOptions, adapted_layer_indices,
                               attach_adapters, freeze_layers, grow,
                               merge_adapters, reset_adapters)
@@ -422,7 +422,7 @@ def test_ledger_reconciliation(small_corpus_file):
             growth = GrowthOptions(position="upper", init="mean", fpi=True,
                                    adapter_rank=8)
             result = run_schedule(config, plan, tc, growth, train, val,
-                                  eval_max_windows=4)
+                                  evaluation=EvalOptions(max_windows=4))
             ledger = result.ledger
 
             counts = stage_param_counts(plan, shape)
@@ -475,7 +475,7 @@ def test_staged_vs_vanilla_desk_run(text_corpus_file):
                                    adapter_rank=8)
             start = time.perf_counter()
             result = run_schedule(config, run_plan, tc, growth, train, val,
-                                  eval_max_windows=256)
+                                  evaluation=EvalOptions(max_windows=256))
             return result.ledger, time.perf_counter() - start
 
         ratios, lines = [], []

@@ -10,7 +10,7 @@ from stagegrow.autodiff import (NonFiniteError, Tensor, add, cross_entropy,
                                 embedding, grad_check, matmul, mul, no_grad,
                                 reshape, rms_norm, rope, scale, silu, softmax,
                                 sum_all, transpose)
-from stagegrow.data import TokenStream, perplexity
+from stagegrow.data import EvalOptions, TokenStream, perplexity
 from stagegrow.growth import GrowthOptions, attach_adapters, freeze_layers
 from stagegrow.model import (ModelConfig, build_model, causal_mask, forward,
                              named_parameters, trainable_parameters)
@@ -827,7 +827,8 @@ def test_perplexity_matches_grad_enabled_forward():
     model = staged_model()
     ids = np.random.default_rng(5).integers(0, 256, 200, dtype=np.uint8)
     report = perplexity(model, TokenStream(ids, "test", "validation"),
-                        seq_len=16, batch_size=3, max_windows=7)
+                        seq_len=16,
+                        options=EvalOptions(batch_size=3, max_windows=7))
     total = 0.0
     for start in range(0, 7, 3):
         block = np.stack([ids[w * 16:w * 16 + 17]

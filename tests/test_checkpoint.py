@@ -156,13 +156,32 @@ def test_missing_array_entry(tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
+def offset_of(manifest, name):
+    return next(e["offset"] for e in manifest["arrays"] if e["name"] == name)
+
+
+def edit_arrays(manifest, edits):
+    """The manifest with each named array entry updated from edits[name]."""
+    return {**manifest, "arrays": [{**e, **edits.get(e["name"], {})}
+                                   for e in manifest["arrays"]]}
+
+
 @pytest.mark.parametrize("edit", [
     lambda m: {k: v for k, v in m.items() if k != "blob_bytes"},
     lambda m: {k: v for k, v in m.items() if k != "arrays"},
     lambda m: {**m, "config": {**m["config"], "ffn_multiplier": 4}},
     lambda m: [m],
     lambda m: {**m, "extra": [1]},
-], ids=["no_blob_bytes", "no_arrays", "unknown_config_key", "list", "extra_list"])
+    # Offsets must be the running sum of the sizes, in table order.
+    lambda m: edit_arrays(m, {"layers.0.g_ffn":
+                              {"offset": offset_of(m, "layers.0.g_attn")}}),
+    lambda m: edit_arrays(m, {
+        "layers.0.w_q": {"offset": offset_of(m, "layers.0.w_k")},
+        "layers.0.w_k": {"offset": offset_of(m, "layers.0.w_q")}}),
+    lambda m: edit_arrays(m, {"layers.1.g_ffn": {"shape": [24]}}),
+    lambda m: edit_arrays(m, {"layers.1.g_ffn": {"shape": [96]}}),
+], ids=["no_blob_bytes", "no_arrays", "unknown_config_key", "list", "extra_list",
+        "shared_offset", "swapped_offsets", "blob_not_covered", "blob_overrun"])
 def test_malformed_manifest(tmp_path, edit):
     save_checkpoint(make_model(), tmp_path / "ck")
     path = tmp_path / "ck" / MANIFEST_NAME

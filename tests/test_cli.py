@@ -312,8 +312,8 @@ def test_config_sections_round_trip_to_dataclasses(tmp_path, small_corpus_file):
                "growth_fraction": 1, "adapter_reset_interval": 5, "seed": 7,
                "betas": [0, 0.5], "eps": 1, "weight_decay": 0,
                "grad_clip": 2, "min_lr_fraction": 0.5},
-        eval={"batch_size": 2, "max_windows": 6})
-    _, plan, model, train, growth, eval_opts = load_run_config(path)
+        eval={"batch_size": 2, "max_windows": 6}, validation_fraction=0.25)
+    _, plan, model, train, growth, evaluation = load_run_config(path)
 
     assert plan == StagePlan((3, 1))
     expected = [
@@ -326,9 +326,9 @@ def test_config_sections_round_trip_to_dataclasses(tmp_path, small_corpus_file):
                     growth_fraction=1.0, adapter_reset_interval=5, seed=7,
                     betas=(0.0, 0.5), eps=1.0, weight_decay=0.0,
                     grad_clip=2.0, min_lr_fraction=0.5),
-        EvalOptions(batch_size=2, max_windows=6),
+        EvalOptions(validation_fraction=0.25, batch_size=2, max_windows=6),
     ]
-    for got, want in zip((model, growth, train, eval_opts), expected):
+    for got, want in zip((model, growth, train, evaluation), expected):
         assert got == want
         for f in fields(want):
             value = getattr(got, f.name)
@@ -342,7 +342,7 @@ def test_train_non_finite_validation_exits_diverged(capsys, tmp_path,
                                                    small_corpus_file,
                                                    monkeypatch):
     # A stage's validation pass runs outside the training step; non-finite
-    # values there are a divergence too, with the ledger flushed.
+    # values there are a divergence too, noted and with the ledger flushed.
     def perplexity(*args, **kwargs):
         raise NonFiniteError("softmax produced non-finite values")
 
@@ -355,6 +355,27 @@ def test_train_non_finite_validation_exits_diverged(capsys, tmp_path,
     ledger = json.loads((run_dir / "ledger.json").read_text())
     assert ledger["stages"][0]["steps"] == 6
     assert not (run_dir / "final_eval.json").exists()
+    diverged = {"kind": "event", "event": "diverged", "step": 6, "stage": 1,
+                "detail": "softmax produced non-finite values"}
+    assert ledger["stages"][0]["events"] == [diverged]
+    log = (run_dir / "log.ndjson").read_text().splitlines()
+    assert json.loads(log[-1]) == diverged
+
+
+def test_train_rejects_a_validation_split_too_short_before_training(
+        capsys, tmp_path):
+    # 30 validation bytes hold no window of 33: found before stage 1 trains.
+    corpus = tmp_path / "short.bin"
+    corpus.write_bytes(bytes(range(256)) * 11 + bytes(184))
+    run_dir = tmp_path / "run"
+    cfg_path = write_config(tmp_path, corpus, run_dir, validation_fraction=0.01,
+                            train={"seq_len": 32},
+                            model={"max_seq_len": 32})
+    status, _, stderr = run_cli(capsys, "train", "--config", str(cfg_path))
+    assert status == 2
+    assert "stream of 30 bytes is too short for seq_len 32" in stderr
+    assert not (run_dir / "ledger.json").exists()
+    assert not (run_dir / "log.ndjson").exists()
 
 
 def test_train_missing_config_file(capsys, tmp_path):
@@ -387,6 +408,31 @@ def test_eval_round_trips_training_eval(capsys, tmp_path, small_corpus_file):
     assert payload["ppl"] == pytest.approx(ledger["stages"][-1]["val_ppl"],
                                            rel=1e-12)
     assert payload["tokens"] == 4 * 16
+
+
+def test_eval_of_every_stage_repeats_its_validation_pass(capsys, tmp_path,
+                                                         small_corpus_file):
+    # The run's EvalOptions travel in each checkpoint: eval with no flags
+    # scores exactly what the stage's own validation pass scored.
+    run_dir = tmp_path / "run"
+    cfg_path = write_config(tmp_path, small_corpus_file, run_dir,
+                            validation_fraction=0.2,
+                            eval={"batch_size": 3, "max_windows": 5})
+    assert run_cli(capsys, "train", "--config", str(cfg_path))[0] == 0
+    ledger = json.loads((run_dir / "ledger.json").read_text())
+    for stage in ledger["stages"]:
+        out = tmp_path / f"eval_{stage['stage']}.json"
+        status, _, _ = run_cli(
+            capsys, "eval", "--checkpoint",
+            str(run_dir / "checkpoints" / f"stage_{stage['stage']:02d}"),
+            "--corpus", str(small_corpus_file), "--out", str(out))
+        assert status == 0
+        payload = json.loads(out.read_text())
+        assert (payload["loss"], payload["ppl"]) == (stage["val_loss"],
+                                                     stage["val_ppl"])
+        assert payload["tokens"] == 5 * 16
+    final = json.loads((run_dir / "final_eval.json").read_text())
+    assert final == {key: payload[key] for key in ("split", "tokens", "loss", "ppl")}
 
 
 def test_eval_warns_on_different_corpus(capsys, tmp_path, small_corpus_file):

@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from stagegrow.data import (CorpusError, TokenStream, batch_cycle, batches,
-                            load_corpus, perplexity, window_count)
+from stagegrow.data import (CorpusError, EvalOptions, TokenStream,
+                            batch_cycle, batches, load_corpus, perplexity,
+                            window_count)
 from stagegrow.model import ModelConfig, build_model
 
 
@@ -205,7 +206,8 @@ def test_perplexity_is_exp_of_loss():
 
 def test_perplexity_max_windows():
     stream = random_stream(4001)
-    capped = perplexity(eval_model(), stream, seq_len=40, max_windows=7)
+    capped = perplexity(eval_model(), stream, seq_len=40,
+                        options=EvalOptions(max_windows=7))
     assert capped.tokens == 7 * 40
     full = perplexity(eval_model(), stream, seq_len=40)
     assert full.tokens == 100 * 40
@@ -213,7 +215,9 @@ def test_perplexity_max_windows():
 
 def test_perplexity_batch_size_does_not_change_result():
     stream = random_stream(1601)
-    a = perplexity(eval_model(), stream, seq_len=40, batch_size=3)
-    b = perplexity(eval_model(), stream, seq_len=40, batch_size=40)
+    a = perplexity(eval_model(), stream, seq_len=40,
+                   options=EvalOptions(batch_size=3))
+    b = perplexity(eval_model(), stream, seq_len=40,
+                   options=EvalOptions(batch_size=40))
     assert a.loss == pytest.approx(b.loss, rel=1e-9)
     assert a.tokens == b.tokens

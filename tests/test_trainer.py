@@ -9,19 +9,19 @@ from conftest import record_line
 
 from stagegrow import autodiff as ad
 from stagegrow import trainer
-from stagegrow.autodiff import Tensor
+from stagegrow.autodiff import NonFiniteError, Tensor
 from stagegrow.checkpoint import load_checkpoint
-from stagegrow.data import batch_cycle, load_corpus
+from stagegrow.data import EvalOptions, batch_cycle, load_corpus
 from stagegrow.growth import GrowthError, attach_adapters, freeze_layers
 from stagegrow.memory import (ModelShape, embedding_params, stage_state_bytes,
                               vanilla_state_bytes)
 from stagegrow.model import (ModelConfig, build_model, forward,
                              named_parameters, trainable_parameters)
 from stagegrow.planner import stage_flops, stage_param_counts
-from stagegrow.trainer import (DivergenceError, GrowthOptions, RunLedger,
-                               StageRecord, TrainConfig, _RunWriter,
-                               adamw_step, clip_gradients, global_grad_norm,
-                               lr_at, run_schedule, simulated_bytes)
+from stagegrow.trainer import (GrowthOptions, RunLedger, StageRecord,
+                               TrainConfig, _RunWriter, adamw_step,
+                               clip_gradients, global_grad_norm, lr_at,
+                               run_schedule, simulated_bytes)
 
 MODEL_CONFIG = ModelConfig(hidden_dim=48, layer_count=2, head_count=4,
                            max_seq_len=32)
@@ -231,9 +231,11 @@ def test_ledger_reconciles_with_planning_formulas(streams):
     cfg = train_config(total_steps=16)
     result = run_schedule(MODEL_CONFIG, plan, cfg,
                           GrowthOptions(adapter_rank=4, fpi=True),
-                          train, val, eval_max_windows=8)
+                          train, val, evaluation=EvalOptions(max_windows=8))
     ledger = result.ledger
     assert [s.steps for s in ledger.stages] == [12, 4]
+    assert result.validation.tokens == 8 * cfg.seq_len
+    assert result.validation.loss == ledger.stages[-1].val_loss
 
     shape = ModelShape(hidden_dim=48, layer_count=4, adapter_rank=4)
     emb = embedding_params(256, 48)
@@ -270,6 +272,7 @@ def test_three_stage_ledger(streams):
                           train, None)
     assert [s.steps for s in result.ledger.stages] == [12, 3, 1]
     assert [s.cumulative_layers for s in result.ledger.stages] == [2, 3, 4]
+    assert result.validation is None
     assert result.ledger.total_steps == 16
     shape = ModelShape(hidden_dim=48, layer_count=4, adapter_rank=4)
     emb = embedding_params(256, 48)
@@ -284,7 +287,8 @@ def test_frozen_layers_never_move_after_their_stage(streams, tmp_path):
     cfg = train_config(total_steps=16, seed=5)
     result = run_schedule(MODEL_CONFIG, (2, 2), cfg,
                           GrowthOptions(adapter_rank=4), train, val,
-                          eval_max_windows=4, out_dir=tmp_path / "run")
+                          evaluation=EvalOptions(max_windows=4),
+                          out_dir=tmp_path / "run")
     stage1, _ = load_checkpoint(tmp_path / "run" / "checkpoints" / "stage_01")
     final = result.model
     # Upper growth of 2 into 2 puts the originals at indices 0 and 2.
@@ -372,9 +376,9 @@ def test_identical_runs_are_identical(streams):
     train, val = streams
     cfg = train_config(total_steps=12, seed=9)
     r1 = run_schedule(MODEL_CONFIG, (2, 2), cfg, GrowthOptions(adapter_rank=4),
-                      train, val, eval_max_windows=4)
+                      train, val, evaluation=EvalOptions(max_windows=4))
     r2 = run_schedule(MODEL_CONFIG, (2, 2), cfg, GrowthOptions(adapter_rank=4),
-                      train, val, eval_max_windows=4)
+                      train, val, evaluation=EvalOptions(max_windows=4))
     assert r1.ledger.to_dict() == r2.ledger.to_dict()
     for (name, a), (_, b) in zip(named_parameters(r1.model),
                                  named_parameters(r2.model)):
@@ -437,7 +441,7 @@ def test_divergence_flushes_ledger(streams, tmp_path):
     # parameters to inf; the next forward then yields nan and aborts.
     train, _ = streams
     cfg = train_config(total_steps=50, peak_lr=1e39, warmup_steps=0)
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
         run_schedule(MODEL_CONFIG, (2, 2), cfg, GrowthOptions(),
                      train, None, out_dir=tmp_path / "run")
     ledger = json.loads((tmp_path / "run" / "ledger.json").read_text())
@@ -451,7 +455,7 @@ def test_growth_fraction_one_trains_final_stage_zero_steps(streams):
     cfg = train_config(total_steps=8, growth_fraction=1.0)
     result = run_schedule(MODEL_CONFIG, (2, 2), cfg,
                           GrowthOptions(adapter_rank=4), train, val,
-                          eval_max_windows=4)
+                          evaluation=EvalOptions(max_windows=4))
     assert [s.steps for s in result.ledger.stages] == [8, 0]
     last = result.ledger.stages[1]
     assert last.tokens == 0 and last.flops == 0
