@@ -47,8 +47,7 @@ print(f"corpus: {train_stream.ids.size + val_stream.ids.size:,} bytes of "
       f"Python source ({val_stream.ids.size:,} held out)")
 
 plan = StagePlan((2, 2))
-config = ModelConfig(hidden_dim=48, layer_count=2, head_count=4,
-                     max_seq_len=32)
+config = ModelConfig(hidden_dim=48, head_count=4, max_seq_len=32)
 train_config = TrainConfig(total_steps=300, peak_lr=1e-3, warmup_steps=20,
                            restart_warmup_steps=20, batch_size=4, seq_len=32,
                            growth_fraction=0.75, seed=0)

@@ -1,14 +1,15 @@
-"""Checkpoint format: manifest.json plus a single little-endian float32 blob.
+"""Checkpoint format 2: manifest.json plus a single little-endian float32 blob.
 
 The manifest records the model config, adapter metadata, optional free-form
 extra metadata, and a table of every parameter array (name, shape, frozen
-flag, byte offset into the blob) in deterministic order.  An array is
-frozen when it takes no gradient; only a layer's own arrays may be, and
-then all nine of them.  params.bin holds the arrays back to back as
-little-endian float32 in that order.  The manifest stores the blob's
-sha256; the loader verifies it, and that each array starts where the one
-before it ends, so loading a checkpoint either reproduces the saved model
-bit-for-bit or fails loudly.
+flag, byte offset into the blob) in deterministic order; the depth is the
+table's count of `layers.{i}` blocks.  An array is frozen when it takes no
+gradient; only a layer's own arrays may be, and then all nine of them.
+params.bin holds the arrays, float32 only, back to back as little-endian
+float32 in that order.  The manifest stores the blob's sha256; the loader
+verifies it, and that each array starts where the one before it ends, so
+loading a checkpoint either reproduces the saved model bit-for-bit or
+fails loudly.
 
 Run artifacts, checkpoints included, are written by `write_atomic` and
 `write_json`: a temp file in the target's directory, then `os.replace`.
@@ -28,9 +29,9 @@ import numpy as np
 
 from .autodiff import Tensor
 from .model import (LAYER_TENSOR_NAMES, MATRIX_NAMES, Adapter, LayerBlock,
-                    ModelConfig, ToyModel, named_parameters, rope_cache)
+                    ModelConfig, ToyModel, named_parameters)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
 BLOB_DTYPE = "<f4"
@@ -74,19 +75,21 @@ def save_checkpoint(model: ToyModel, directory: str | Path,
                     extra: dict | None = None) -> Path:
     """Write manifest.json and params.bin into `directory`; returns it.
 
-    The manifest records one adapter scale for the whole model, so adapters
-    that disagree on scale are a CheckpointError, raised before any write.
+    The blob holds float32 and the manifest one adapter scale for the whole
+    model, so an array of another dtype, or adapters that disagree on
+    scale, are a CheckpointError, raised before any write.
     """
     scales = {a.scale for layer in model.layers for a in layer.adapters.values()}
     if len(scales) > 1:
         raise CheckpointError(f"adapters disagree on scale: {sorted(scales)}")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
 
     table = []
     pieces = []
     offset = 0
     for name, tensor in named_parameters(model):
+        if tensor.data.dtype != np.float32:
+            raise CheckpointError(f"array {name} is {tensor.data.dtype}; "
+                                  "checkpoints hold float32 only")
         raw = np.ascontiguousarray(tensor.data, dtype=BLOB_DTYPE).tobytes()
         table.append({
             "name": name,
@@ -109,6 +112,8 @@ def save_checkpoint(model: ToyModel, directory: str | Path,
         "blob_bytes": len(blob),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     write_atomic(directory / BLOB_NAME, blob)
     write_json(directory / MANIFEST_NAME, manifest)
     return directory
@@ -117,18 +122,19 @@ def save_checkpoint(model: ToyModel, directory: str | Path,
 def load_checkpoint(directory: str | Path) -> tuple[ToyModel, dict]:
     """Rebuild the model from a checkpoint directory; returns (model, manifest).
 
-    Every structural fault is a CheckpointError, a manifest that lacks a
-    key or holds a value of the wrong JSON type included.
+    Every structural fault is a CheckpointError, a manifest that is not
+    JSON, lacks a key or holds a value of the wrong JSON type included.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     blob_path = directory / BLOB_NAME
     if not manifest_path.is_file() or not blob_path.is_file():
         raise CheckpointError(f"{directory} is not a checkpoint directory")
-    manifest = json.loads(manifest_path.read_text())
     try:
+        manifest = json.loads(manifest_path.read_bytes())
         return _rebuild(manifest, blob_path.read_bytes()), manifest
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError,
+            KeyError, TypeError, AttributeError) as exc:
         raise CheckpointError(f"malformed manifest: {exc!r}") from exc
 
 
@@ -178,7 +184,9 @@ def _rebuild(manifest: dict, blob: bytes) -> ToyModel:
 
     adapter_meta = manifest.get("adapter")
     layers = []
-    for i in range(config.layer_count):
+    # Depth is the count of layers.{i}.* blocks; a gap leaves unexpected arrays.
+    while f"layers.{len(layers)}.w_q" in arrays:
+        i = len(layers)
         prefix = f"layers.{i}."
         layer = LayerBlock(**{n: take(prefix + n, can_freeze=True) for n in LAYER_TENSOR_NAMES})
         if len({t.requires_grad for t in layer.all_tensors().values()}) > 1:
@@ -194,9 +202,5 @@ def _rebuild(manifest: dict, blob: bytes) -> ToyModel:
         layers.append(layer)
     if arrays:
         raise CheckpointError(f"unexpected arrays in manifest: {sorted(arrays)}")
-
-    dtype = np.dtype(np.float32)
-    cos, sin = rope_cache(config.max_seq_len, config.head_dim, config.rope_base, dtype)
     return ToyModel(config=config, embed=embed, unembed=unembed,
-                    final_gain=final_gain, layers=layers,
-                    rope_cos=cos, rope_sin=sin, dtype=dtype)
+                    final_gain=final_gain, layers=layers)

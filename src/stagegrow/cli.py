@@ -29,7 +29,7 @@ from .memory import ModelShape, format_gb
 from .model import ModelConfig
 from .planner import (BudgetError, PlanInfeasibleError, StagePlan,
                       solve_exact, solve_rounded, token_budget)
-from .trainer import TrainConfig, run_schedule
+from .trainer import TrainConfig, require_data, run_schedule
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -150,8 +150,7 @@ def load_run_config(path: str | Path) -> tuple[
     train = _section(TrainConfig, cfg["train"], "$.train")
     evaluation = _section(EvalOptions, cfg.get("eval", {}), "$.eval",
                           validation_fraction=vf)
-    # The plan may need hidden_dim to solve; layer_count then comes from it.
-    model = _section(ModelConfig, cfg["model"], "$.model", layer_count=1)
+    model = _section(ModelConfig, cfg["model"], "$.model")
 
     plan_cfg = cfg["plan"]
     _check_keys(plan_cfg, "$.plan", {"increments", "layers", "stages", "mode"}, set())
@@ -171,7 +170,6 @@ def load_run_config(path: str | Path) -> tuple[
         shape = ModelShape(hidden_dim=model.hidden_dim, layer_count=layers,
                            adapter_rank=growth.adapter_rank)
         plan = SOLVERS[mode](layers, stages, shape)
-    model = replace(model, layer_count=plan.increments[0])
 
     missing = [p for p in corpus if not Path(p).is_file()]
     if missing:
@@ -335,6 +333,7 @@ def cmd_train(args) -> int:
 
     train_stream, val_stream = data_lib.load_corpus(
         cfg["corpus"], evaluation.validation_fraction)
+    require_data(train_cfg, train_stream, val_stream)
 
     run_dir.mkdir(parents=True)
     snapshot = dict(cfg)
@@ -360,19 +359,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, manifest = ckpt.load_checkpoint(args.checkpoint)
     extra = manifest.get("extra", {})
-
-    def setting(flag, key, hint, default):  # the flag, else the checkpoint's record
-        if flag is not None:
-            return flag
-        return _field(hint, extra.get(key, default), f"manifest extra.{key}")
-
-    seq_len = setting(args.seq_len, "seq_len", int, TrainConfig.seq_len)
-    evaluation = EvalOptions(
-        setting(args.validation_fraction, "validation_fraction", float,
-                EvalOptions.validation_fraction),
-        setting(args.batch_size, "eval_batch_size", int, EvalOptions.batch_size),
-        setting(args.max_windows, "eval_max_windows", int | None,
-                EvalOptions.max_windows))
+    seq_len = args.seq_len
+    if seq_len is None:
+        seq_len = _field(int, extra.get("seq_len", TrainConfig.seq_len),
+                         "manifest extra.seq_len")
+    # The checkpoint's record; each flag given (named as its field) replaces a value.
+    evaluation = _section(EvalOptions, extra.get("eval", {}), "manifest extra.eval")
+    evaluation = replace(evaluation, **{
+        f.name: getattr(args, f.name) for f in fields(EvalOptions)
+        if getattr(args, f.name) is not None})
 
     _, val_stream = data_lib.load_corpus(args.corpus,
                                          evaluation.validation_fraction)

@@ -13,6 +13,7 @@ checkpoints to `stagegrow eval`.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -84,12 +85,12 @@ def window_count(stream_len: int, seq_len: int) -> int:
     return max(0, (stream_len - 1) // seq_len)
 
 
-def require_windows(stream: TokenStream, seq_len: int) -> int:
-    """window_count of the stream; CorpusError if not even one window fits."""
+def require_windows(stream: TokenStream, seq_len: int, batch_size: int = 1) -> int:
+    """window_count of the stream; CorpusError if it holds fewer than batch_size."""
     n = window_count(len(stream), seq_len)
-    if n < 1:
-        raise CorpusError(
-            f"stream of {len(stream)} bytes is too short for seq_len {seq_len}")
+    if n < batch_size:
+        at = f" and batch_size {batch_size}" if batch_size > 1 else ""
+        raise CorpusError(f"stream of {len(stream)} bytes is too short for seq_len {seq_len}{at}")
     return n
 
 
@@ -102,17 +103,15 @@ def _window_matrix(stream: TokenStream, seq_len: int) -> np.ndarray:
     return flat[idx]
 
 
-def batches(stream: TokenStream, seq_len: int, batch_size: int, seed: int,
-            drop_last: bool = True) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """One shuffled epoch of (inputs, targets) int64 pairs, (batch, seq_len)."""
+def batches(stream: TokenStream, seq_len: int, batch_size: int,
+            seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One shuffled epoch of full batches: int64 (inputs, targets), (batch, seq_len)."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     windows = _window_matrix(stream, seq_len)
     order = np.random.default_rng(seed).permutation(windows.shape[0])
-    for start in range(0, len(order), batch_size):
+    for start in range(0, len(order) - batch_size + 1, batch_size):
         pick = order[start:start + batch_size]
-        if drop_last and len(pick) < batch_size:
-            return
         block = windows[pick].astype(np.int64)
         yield block[:, :-1], block[:, 1:]
 
@@ -120,16 +119,9 @@ def batches(stream: TokenStream, seq_len: int, batch_size: int, seed: int,
 def batch_cycle(stream: TokenStream, seq_len: int, batch_size: int,
                 seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Endless batches; epoch e reshuffles with generator seed [seed, e]."""
-    epoch = 0
-    while True:
-        got_any = False
-        for batch in batches(stream, seq_len, batch_size, seed=[seed, epoch]):
-            got_any = True
-            yield batch
-        if not got_any:
-            raise CorpusError(
-                f"stream too short for even one batch of {batch_size} x {seq_len}")
-        epoch += 1
+    require_windows(stream, seq_len, batch_size)
+    for epoch in itertools.count():
+        yield from batches(stream, seq_len, batch_size, seed=[seed, epoch])
 
 
 @dataclass(frozen=True)

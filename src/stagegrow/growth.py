@@ -30,7 +30,7 @@ fresh factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,7 +141,6 @@ def grow(model: ToyModel, new_count: int, options: GrowthOptions,
             fresh.append(len(stack))
             stack.append(layer)
     model.layers[:] = stack
-    model.config = replace(model.config, layer_count=len(stack))
     return fresh
 
 

@@ -9,6 +9,10 @@ Feed-forward width is exactly 8d/3 (d must be divisible by 3), so one layer
 carries 12 d^2 + 2 d parameters: the planning formulas in stagegrow.memory
 count this model exactly.
 
+A model is its ModelConfig (one layer's shape, vocabulary, context, rotary
+base) and its parameters: its depth is len(layers), which growth changes,
+its dtype is its parameters', and its rotary tables follow from the config.
+
 Weight matrices are stored (out_features, in_features); the forward pass
 multiplies by their transpose.  A layer may be frozen (weights excluded
 from gradients) and may carry low-rank adapters: y = W x + s * A (B x)
@@ -37,7 +41,6 @@ MASK_VALUE = -1e9
 @dataclass(frozen=True)
 class ModelConfig:
     hidden_dim: int
-    layer_count: int
     head_count: int
     vocab_size: int = 256
     max_seq_len: int = 512
@@ -54,8 +57,6 @@ class ModelConfig:
                 f"hidden_dim {self.hidden_dim} not divisible by head_count {self.head_count}")
         if self.head_dim % 2 != 0:
             raise ValueError(f"head_dim must be even for rotary mixing, got {self.head_dim}")
-        if self.layer_count < 1:
-            raise ValueError(f"layer_count must be >= 1, got {self.layer_count}")
         if self.vocab_size < 1 or self.max_seq_len < 1:
             raise ValueError("vocab_size and max_seq_len must be >= 1")
         if self.rope_base <= 0:
@@ -127,27 +128,31 @@ class ToyModel:
     unembed: Tensor | None   # (vocab, hidden); None when tied
     final_gain: Tensor       # (hidden,)
     layers: list[LayerBlock]
-    rope_cos: np.ndarray
-    rope_sin: np.ndarray
-    dtype: np.dtype
 
     @property
     def layer_count(self) -> int:
         return len(self.layers)
 
     @property
+    def dtype(self) -> np.dtype:
+        return self.embed.data.dtype
+
+    @property
     def output_matrix(self) -> Tensor:
         return self.embed if self.unembed is None else self.unembed
 
 
+@lru_cache(maxsize=16)
 def rope_cache(max_seq_len: int, head_dim: int, base: float,
                dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Constant cos/sin tables, shape (max_seq_len, head_dim) each."""
+    """Constant cos/sin tables, (max_seq_len, head_dim) each; cached, read-only."""
     half = head_dim // 2
     inv_freq = base ** (-np.arange(0, half, dtype=np.float64) / half)
     angles = np.outer(np.arange(max_seq_len, dtype=np.float64), inv_freq)
     doubled = np.concatenate([angles, angles], axis=-1)
-    return np.cos(doubled).astype(dtype), np.sin(doubled).astype(dtype)
+    cos, sin = np.cos(doubled).astype(dtype), np.sin(doubled).astype(dtype)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
 
 
 def _init_matrix(rng: np.random.Generator, out_dim: int, in_dim: int,
@@ -156,10 +161,11 @@ def _init_matrix(rng: np.random.Generator, out_dim: int, in_dim: int,
     return Tensor(data, requires_grad=True)
 
 
-def init_layer(rng: np.random.Generator, config: ModelConfig, dtype) -> LayerBlock:
-    """Fresh trainable layer; residual outputs get depth-scaled init."""
+def init_layer(rng: np.random.Generator, config: ModelConfig, layer_count: int,
+               dtype) -> LayerBlock:
+    """Fresh trainable layer; residual outputs get init scaled by layer_count."""
     d, f = config.hidden_dim, config.ffn_dim
-    out_std = INIT_STD / np.sqrt(2.0 * config.layer_count)
+    out_std = INIT_STD / np.sqrt(2.0 * layer_count)
     return LayerBlock(
         w_q=_init_matrix(rng, d, d, INIT_STD, dtype),
         w_k=_init_matrix(rng, d, d, INIT_STD, dtype),
@@ -173,21 +179,21 @@ def init_layer(rng: np.random.Generator, config: ModelConfig, dtype) -> LayerBlo
     )
 
 
-def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ToyModel:
-    """Deterministic model construction from a seed."""
-    dtype = np.dtype(dtype)
+def build_model(config: ModelConfig, layer_count: int, seed: int, dtype=np.float32) -> ToyModel:
+    """Deterministic construction of a layer_count-deep model from a seed."""
+    if layer_count < 1:
+        raise ValueError(f"layer_count must be >= 1, got {layer_count}")
     rng = np.random.default_rng(seed)
     d = config.hidden_dim
     embed = _init_matrix(rng, config.vocab_size, d, INIT_STD, dtype)
     unembed = None
     if not config.tied_embeddings:
         unembed = _init_matrix(rng, config.vocab_size, d, INIT_STD, dtype)
-    layers = [init_layer(rng, config, dtype) for _ in range(config.layer_count)]
-    cos, sin = rope_cache(config.max_seq_len, config.head_dim, config.rope_base, dtype)
+    layers = [init_layer(rng, config, layer_count, dtype) for _ in range(layer_count)]
     return ToyModel(
         config=config, embed=embed, unembed=unembed,
         final_gain=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
-        layers=layers, rope_cos=cos, rope_sin=sin, dtype=dtype)
+        layers=layers)
 
 
 def _linear(x: Tensor, layer: LayerBlock, name: str) -> Tensor:
@@ -228,8 +234,8 @@ def forward(model: ToyModel, tokens: np.ndarray) -> Tensor:
     if seq > cfg.max_seq_len:
         raise ValueError(f"sequence length {seq} exceeds max_seq_len {cfg.max_seq_len}")
 
-    cos = model.rope_cos[:seq]
-    sin = model.rope_sin[:seq]
+    cos, sin = rope_cache(cfg.max_seq_len, cfg.head_dim, cfg.rope_base, model.dtype)
+    cos, sin = cos[:seq], sin[:seq]
     mask = causal_mask(seq, model.dtype)
     inv_sqrt_hd = 1.0 / math.sqrt(cfg.head_dim)  # python float: keeps dtype
 

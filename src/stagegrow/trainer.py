@@ -1,12 +1,13 @@
 """Staged training loop: AdamW, warmup/cosine/rewarm schedule, growth events.
 
-One run executes a whole stage plan.  Stage boundaries fire after a
-configured fraction of the steps remaining at each boundary; at a boundary
-the loop merges any live adapters into their dense weights, grows the model
-per the plan, freezes every previously trained layer, drops those layers'
-optimizer state, attaches fresh adapters to all frozen layers, and linearly
-rewarms the learning rate back to its peak before resuming cosine decay.
-Embeddings stay trainable throughout and keep their optimizer moments.
+One run executes a whole stage plan from a model plan.increments[0] layers
+deep.  Stage boundaries fire after a configured fraction of the steps
+remaining at each boundary; at a boundary the loop merges any live
+adapters into their dense weights, grows the model per the plan, freezes
+every previously trained layer, drops those layers' optimizer state,
+attaches fresh adapters to all frozen layers, and linearly rewarms the
+learning rate back to its peak before resuming cosine decay.  Embeddings
+stay trainable throughout and keep their optimizer moments.
 
 The ledger records, per stage, the exact parameter census, token and FLOPs
 spend (planner.stage_flops), and a simulated device-memory figure
@@ -276,35 +277,37 @@ class _RunWriter:
             self._log.close()
 
 
+def require_data(config: TrainConfig, train_stream: data_lib.TokenStream,
+                 val_stream: data_lib.TokenStream | None) -> None:
+    """CorpusError unless train_stream holds a batch and val_stream a window."""
+    data_lib.require_windows(train_stream, config.seq_len, config.batch_size)
+    if val_stream is not None:
+        data_lib.require_windows(val_stream, config.seq_len)
+
+
 def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig,
                  growth: GrowthOptions, train_stream: data_lib.TokenStream,
                  val_stream: data_lib.TokenStream | None, *,
                  evaluation: data_lib.EvalOptions = data_lib.EvalOptions(),
-                 out_dir: str | Path | None = None,
-                 dtype=np.float32) -> RunResult:
+                 out_dir: str | Path | None = None) -> RunResult:
     """Train a full stage plan from scratch; returns the model and ledger.
 
-    model_config.layer_count must equal the plan's first increment; growth
-    events supply the rest.  With a single-stage plan this is exactly a
-    plain training loop.  Each stage ends with a validation pass over
-    val_stream, run as `evaluation` says; `evaluation` is recorded in every
-    checkpoint, so `stagegrow eval` repeats the pass.  A non-finite loss or
-    validation pass notes a `diverged` event, flushes the ledger and
-    re-raises the NonFiniteError; non-finite gradients skip the step.
+    The float32 model starts plan.increments[0] layers deep; growth events
+    supply the rest.  With a single-stage plan this is exactly a plain
+    training loop.  Each stage ends with a validation pass over val_stream,
+    run as `evaluation` says; `evaluation` is recorded in every checkpoint,
+    so `stagegrow eval` repeats the pass.  A non-finite loss or validation
+    pass notes a `diverged` event, flushes the ledger and re-raises the
+    NonFiniteError; non-finite gradients skip the step.
     """
     plan = StagePlan.of(plan)
-    if model_config.layer_count != plan.increments[0]:
-        raise ValueError(
-            f"model_config.layer_count {model_config.layer_count} must match "
-            f"the first stage increment {plan.increments[0]}")
-    if val_stream is not None:  # before any stage trains
-        data_lib.require_windows(val_stream, config.seq_len)
+    require_data(config, train_stream, val_stream)
 
     out_path = Path(out_dir) if out_dir is not None else None
     writer = _RunWriter(out_path)
     ledger = RunLedger()
 
-    model = build_model(model_config, seed=config.seed, dtype=dtype)
+    model = build_model(model_config, plan.increments[0], seed=config.seed)
     batches = data_lib.batch_cycle(
         train_stream, config.seq_len, config.batch_size, seed=config.seed + 1)
     stage_steps = split_steps(config.total_steps, plan.stage_count,
@@ -405,9 +408,7 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                 ckpt.save_checkpoint(
                     model, out_path / "checkpoints" / f"stage_{stage_i:02d}",
                     extra={"stage": stage_i, "seq_len": config.seq_len,
-                           "validation_fraction": evaluation.validation_fraction,
-                           "eval_batch_size": evaluation.batch_size,
-                           "eval_max_windows": evaluation.max_windows,
+                           "eval": asdict(evaluation),
                            "corpus_digest": train_stream.digest,
                            "val_loss": record.val_loss, "val_ppl": record.val_ppl})
             writer.flush_ledger(ledger)

@@ -205,11 +205,11 @@ def test_function_preserving_growth():
         for seed in range(20):
             rng = np.random.default_rng(900 + seed)
             hidden = (12, 24, 36, 48)[seed % 4]
-            config = ModelConfig(hidden_dim=hidden, layer_count=1 + seed % 3,
-                                 head_count=2, vocab_size=64, max_seq_len=16)
+            config = ModelConfig(hidden_dim=hidden, head_count=2,
+                                 vocab_size=64, max_seq_len=16)
             ids = rng.integers(0, 64, size=(2, 12))
             for init in ("copy", "mean"):
-                model = build_model(config, seed=seed)
+                model = build_model(config, 1 + seed % 3, seed=seed)
                 before = forward(model, ids).data.copy()
                 options = GrowthOptions(position=positions[seed % 4],
                                         init=init, fpi=True)
@@ -227,7 +227,7 @@ def test_function_preserving_growth():
 # ---------------------------------------------------------------------------
 
 def test_adapter_algebra():
-    config = ModelConfig(hidden_dim=24, layer_count=3, head_count=2,
+    config = ModelConfig(hidden_dim=24, head_count=2,
                          vocab_size=64, max_seq_len=16)
     options = GrowthOptions(adapter_rank=4)
 
@@ -245,7 +245,7 @@ def test_adapter_algebra():
             rng = np.random.default_rng(3000 + seed)
             ids = rng.integers(0, 64, size=(2, 12))
 
-            model = build_model(config, seed=seed)
+            model = build_model(config, 3, seed=seed)
             base = forward(model, ids).data.copy()
             freeze_layers(model, [0, 1])
             attach_adapters(model, [0, 1], options, seed=seed + 500)
@@ -367,9 +367,9 @@ def test_gradient_correctness():
 
         # Full-model spot check: float64 copy of a tiny model, ten random
         # parameter coordinates against central differences.
-        config = ModelConfig(hidden_dim=12, layer_count=2, head_count=2,
+        config = ModelConfig(hidden_dim=12, head_count=2,
                              vocab_size=32, max_seq_len=8)
-        model = build_model(config, seed=11)
+        model = build_model(config, 2, seed=11)
         params = named_parameters(model)
         for _, tensor in params:
             tensor.data = tensor.data.astype(np.float64)
@@ -414,8 +414,7 @@ def test_ledger_reconciliation(small_corpus_file):
         for increments in ((4, 4), (3, 3, 2)):
             plan = StagePlan(increments)
             shape = ModelShape(96, sum(increments), adapter_rank=8)
-            config = ModelConfig(hidden_dim=96, layer_count=increments[0],
-                                 head_count=6, max_seq_len=32)
+            config = ModelConfig(hidden_dim=96, head_count=6, max_seq_len=32)
             tc = TrainConfig(total_steps=20, peak_lr=1e-3, warmup_steps=2,
                              restart_warmup_steps=2, batch_size=2, seq_len=16,
                              growth_fraction=0.75, seed=3)
@@ -464,9 +463,8 @@ def test_staged_vs_vanilla_desk_run(text_corpus_file):
         vanilla_step_flops = 6 * (8 * layer_params(96) + emb) * tokens_per_step
         vanilla_steps = round(budget / vanilla_step_flops)
 
-        def run(run_plan, layers, total_steps, seed):
-            config = ModelConfig(hidden_dim=96, layer_count=layers,
-                                 head_count=6, max_seq_len=SEQ)
+        def run(run_plan, total_steps, seed):
+            config = ModelConfig(hidden_dim=96, head_count=6, max_seq_len=SEQ)
             tc = TrainConfig(total_steps=total_steps, peak_lr=1e-3,
                              warmup_steps=30, restart_warmup_steps=30,
                              batch_size=BATCH, seq_len=SEQ,
@@ -480,9 +478,8 @@ def test_staged_vs_vanilla_desk_run(text_corpus_file):
 
         ratios, lines = [], []
         for seed in (0, 1, 2):
-            staged, staged_secs = run(plan, 4, STEPS, seed)
-            vanilla, vanilla_secs = run(StagePlan((8,)), 8, vanilla_steps,
-                                        seed)
+            staged, staged_secs = run(plan, STEPS, seed)
+            vanilla, vanilla_secs = run(StagePlan((8,)), vanilla_steps, seed)
             # Budgets match up to the one-step rounding of vanilla_steps.
             assert abs(staged.total_flops
                        - vanilla.total_flops) <= vanilla_step_flops

@@ -611,8 +611,8 @@ def test_leaf_gradient_takes_its_data_dtype():
 
 def staged_model():
     """Two layers, the lower one frozen with live adapters."""
-    cfg = ModelConfig(hidden_dim=48, layer_count=2, head_count=4, max_seq_len=16)
-    model = build_model(cfg, seed=0)
+    cfg = ModelConfig(hidden_dim=48, head_count=4, max_seq_len=16)
+    model = build_model(cfg, 2, seed=0)
     freeze_layers(model, [0])
     attach_adapters(model, [0], GrowthOptions(adapter_rank=4), seed=1)
     return model
@@ -748,7 +748,7 @@ def test_forward_keeps_two_ffn_width_arrays_per_layer(monkeypatch):
     try:
         logits = forward(model, ids)
         alive = sum(r() is not None for r in made)
-        assert alive == 2 * cfg.layer_count, (alive, len(made))
+        assert alive == 2 * model.layer_count, (alive, len(made))
         del logits
     finally:
         gc.enable()

@@ -15,9 +15,9 @@ from stagegrow.model import (LAYER_TENSOR_NAMES, ModelConfig, build_model,
 
 
 def make_model(seed=0, **overrides):
-    base = dict(hidden_dim=48, layer_count=2, head_count=4, max_seq_len=32)
+    base = dict(hidden_dim=48, head_count=4, max_seq_len=32)
     base.update(overrides)
-    return build_model(ModelConfig(**base), seed=seed)
+    return build_model(ModelConfig(**base), 2, seed=seed)
 
 
 def make_staged_model(seed=0):
@@ -85,7 +85,8 @@ def test_manifest_contents(tmp_path):
     model = make_model(seed=1)
     save_checkpoint(model, tmp_path / "ck", extra={"stage": 2, "note": "x"})
     manifest = json.loads((tmp_path / "ck" / MANIFEST_NAME).read_text())
-    assert manifest["format_version"] == 1
+    assert manifest["format_version"] == 2
+    assert "layer_count" not in manifest["config"]  # depth is the array table's
     assert manifest["extra"] == {"stage": 2, "note": "x"}
     names = [e["name"] for e in manifest["arrays"]]
     assert names == [n for n, _ in named_parameters(model)]
@@ -142,6 +143,27 @@ def test_unsupported_version(tmp_path):
     manifest["format_version"] = 99
     path.write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_format_1_manifest_is_refused(tmp_path):
+    # Format 1 kept the depth in the config; there is no reading it.
+    save_checkpoint(make_model(), tmp_path / "ck")
+    path = tmp_path / "ck" / MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    manifest["format_version"] = 1
+    manifest["config"]["layer_count"] = 2
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="unsupported format_version 1"):
+        load_checkpoint(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("raw", [b"{not json", b'{"format_version": "\xff"}'],
+                         ids=["syntax", "utf8"])
+def test_manifest_that_is_not_json(tmp_path, raw):
+    save_checkpoint(make_model(), tmp_path / "ck")
+    (tmp_path / "ck" / MANIFEST_NAME).write_bytes(raw)
+    with pytest.raises(CheckpointError, match="malformed manifest: (JSON|Unicode)"):
         load_checkpoint(tmp_path / "ck")
 
 
@@ -229,6 +251,19 @@ def test_a_whole_layer_marked_frozen_loads_frozen(tmp_path):
     assert not any(t.requires_grad for t in loaded.layers[1].all_tensors().values())
 
 
+def test_a_gap_in_the_layers_is_rejected(tmp_path):
+    # Depth is counted from layers.0 up; layers.2 after a missing layers.1
+    # is left over.
+    save_checkpoint(make_model(), tmp_path / "ck")
+    path = tmp_path / "ck" / MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    for entry in manifest["arrays"]:
+        entry["name"] = entry["name"].replace("layers.1.", "layers.2.")
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="unexpected arrays"):
+        load_checkpoint(tmp_path / "ck")
+
+
 def test_unexpected_array_entry(tmp_path):
     save_checkpoint(make_model(), tmp_path / "ck")
     path = tmp_path / "ck" / MANIFEST_NAME
@@ -288,5 +323,14 @@ def test_save_rejects_adapters_that_disagree_on_scale(tmp_path):
     attach_adapters(model, [1], GrowthOptions(adapter_rank=4, adapter_scale=0.5),
                     seed=2)
     with pytest.raises(CheckpointError, match="scale"):
+        save_checkpoint(model, tmp_path / "ck")
+    assert not (tmp_path / "ck").exists()
+
+
+def test_save_refuses_arrays_that_are_not_float32(tmp_path):
+    # The blob is float32: a float64 model would come back rounded.
+    model = build_model(ModelConfig(hidden_dim=48, head_count=4, max_seq_len=32),
+                        2, seed=0, dtype=np.float64)
+    with pytest.raises(CheckpointError, match="embed is float64"):
         save_checkpoint(model, tmp_path / "ck")
     assert not (tmp_path / "ck").exists()

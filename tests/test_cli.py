@@ -317,7 +317,7 @@ def test_config_sections_round_trip_to_dataclasses(tmp_path, small_corpus_file):
 
     assert plan == StagePlan((3, 1))
     expected = [
-        ModelConfig(hidden_dim=48, layer_count=3, head_count=4, vocab_size=200,
+        ModelConfig(hidden_dim=48, head_count=4, vocab_size=200,
                     max_seq_len=40, tied_embeddings=True, rope_base=500.0),
         GrowthOptions(position="lower", init="copy", fpi=True,
                       adapter_rank=2, adapter_scale=1.0),
@@ -376,6 +376,29 @@ def test_train_rejects_a_validation_split_too_short_before_training(
     assert "stream of 30 bytes is too short for seq_len 32" in stderr
     assert not (run_dir / "ledger.json").exists()
     assert not (run_dir / "log.ndjson").exists()
+
+
+@pytest.mark.parametrize("too_short,message", [
+    # 30 validation bytes hold no window of 33.
+    ({"validation_fraction": 0.01, "train": {"seq_len": 32}},
+     "stream of 30 bytes is too short for seq_len 32"),
+    # 2700 train bytes hold 84 windows, not a batch of 200.
+    ({"train": {"seq_len": 32, "batch_size": 200}},
+     "stream of 2700 bytes is too short for seq_len 32 and batch_size 200"),
+], ids=["validation_window", "train_batch"])
+def test_train_too_short_creates_nothing(capsys, tmp_path, too_short, message):
+    # The corpus check runs before the run directory is made, so a rerun
+    # with a corrected config is not refused as "run_dir already exists".
+    corpus = tmp_path / "short.bin"
+    corpus.write_bytes(bytes(range(256)) * 11 + bytes(184))
+    run_dir = tmp_path / "run"
+    cfg_path = write_config(tmp_path, corpus, run_dir, **too_short)
+    status, _, stderr = run_cli(capsys, "train", "--config", str(cfg_path))
+    assert status == 2
+    assert message in stderr
+    assert not run_dir.exists()
+    cfg_path = write_config(tmp_path, corpus, run_dir, train={"seq_len": 32})
+    assert run_cli(capsys, "train", "--config", str(cfg_path))[0] == 0
 
 
 def test_train_missing_config_file(capsys, tmp_path):
@@ -450,8 +473,8 @@ def test_eval_warns_on_different_corpus(capsys, tmp_path, small_corpus_file):
 
 
 def test_eval_zeroed_readout_is_uniform(capsys, tmp_path, small_corpus_file):
-    model = build_model(ModelConfig(hidden_dim=48, layer_count=1, head_count=4,
-                                    max_seq_len=32), seed=0)
+    model = build_model(ModelConfig(hidden_dim=48, head_count=4, max_seq_len=32),
+                        1, seed=0)
     model.unembed.data[...] = 0.0
     save_checkpoint(model, tmp_path / "ck", extra={"seq_len": 16})
     status, stdout, _ = run_cli(
@@ -466,8 +489,8 @@ def test_eval_zeroed_readout_is_uniform(capsys, tmp_path, small_corpus_file):
 @pytest.mark.parametrize("flag", [["--max-windows", "0"], ["--batch-size", "0"],
                                   ["--seq-len", "0"], ["--seq-len", "-3"]])
 def test_eval_rejects_empty_evaluation(capsys, tmp_path, small_corpus_file, flag):
-    model = build_model(ModelConfig(hidden_dim=48, layer_count=1, head_count=4,
-                                    max_seq_len=32), seed=0)
+    model = build_model(ModelConfig(hidden_dim=48, head_count=4, max_seq_len=32),
+                        1, seed=0)
     save_checkpoint(model, tmp_path / "ck", extra={"seq_len": 16})
     status, _, stderr = run_cli(
         capsys, "eval", "--checkpoint", str(tmp_path / "ck"),
@@ -480,8 +503,8 @@ def test_eval_rejects_empty_evaluation(capsys, tmp_path, small_corpus_file, flag
 
 def test_eval_non_finite_checkpoint_exits_diverged(capsys, tmp_path,
                                                    small_corpus_file):
-    model = build_model(ModelConfig(hidden_dim=48, layer_count=1, head_count=4,
-                                    max_seq_len=32), seed=0)
+    model = build_model(ModelConfig(hidden_dim=48, head_count=4, max_seq_len=32),
+                        1, seed=0)
     model.embed.data[:, 0] = np.nan
     save_checkpoint(model, tmp_path / "ck", extra={"seq_len": 16})
     status, _, stderr = run_cli(
@@ -493,8 +516,7 @@ def test_eval_non_finite_checkpoint_exits_diverged(capsys, tmp_path,
 
 
 def test_eval_corrupt_checkpoint(capsys, tmp_path, small_corpus_file):
-    model = build_model(ModelConfig(hidden_dim=48, layer_count=1, head_count=4),
-                        seed=0)
+    model = build_model(ModelConfig(hidden_dim=48, head_count=4), 1, seed=0)
     save_checkpoint(model, tmp_path / "ck")
     blob = tmp_path / "ck" / "params.bin"
     raw = bytearray(blob.read_bytes())
@@ -508,8 +530,7 @@ def test_eval_corrupt_checkpoint(capsys, tmp_path, small_corpus_file):
 
 
 def test_eval_malformed_manifest(capsys, tmp_path, small_corpus_file):
-    model = build_model(ModelConfig(hidden_dim=48, layer_count=1, head_count=4),
-                        seed=0)
+    model = build_model(ModelConfig(hidden_dim=48, head_count=4), 1, seed=0)
     save_checkpoint(model, tmp_path / "ck")
     manifest = tmp_path / "ck" / "manifest.json"
     manifest.write_text(json.dumps([json.loads(manifest.read_text())]))
@@ -523,19 +544,49 @@ def test_eval_malformed_manifest(capsys, tmp_path, small_corpus_file):
 
 @pytest.mark.parametrize("key,value", [("seq_len", "16"), ("seq_len", 16.0),
                                        ("validation_fraction", "0.1"),
-                                       ("eval_batch_size", True),
-                                       ("eval_max_windows", [4])])
+                                       ("batch_size", True),
+                                       ("max_windows", [4])])
 def test_eval_rejects_mistyped_checkpoint_settings(capsys, tmp_path, small_corpus_file,
                                                    key, value):
-    model = build_model(ModelConfig(hidden_dim=48, layer_count=1, head_count=4,
-                                    max_seq_len=32), seed=0)
-    save_checkpoint(model, tmp_path / "ck", extra={"seq_len": 16, key: value})
+    # seq_len is a top-level extra key; the rest are EvalOptions fields
+    # under extra.eval.
+    model = build_model(ModelConfig(hidden_dim=48, head_count=4, max_seq_len=32),
+                        1, seed=0)
+    if key == "seq_len":
+        extra, path = {"seq_len": value}, key
+    else:
+        extra, path = {"seq_len": 16, "eval": {key: value}}, f"eval.{key}"
+    save_checkpoint(model, tmp_path / "ck", extra=extra)
     status, _, stderr = run_cli(
         capsys, "eval", "--checkpoint", str(tmp_path / "ck"),
         "--corpus", str(small_corpus_file), "--out", str(tmp_path / "e.json"))
     assert status == 2
-    assert f"extra.{key}: expected" in stderr
+    assert f"extra.{path}: expected" in stderr
     assert not (tmp_path / "e.json").exists()
+
+
+def test_eval_flag_out_of_range_is_not_a_manifest_error(capsys, tmp_path,
+                                                       small_corpus_file):
+    model = build_model(ModelConfig(hidden_dim=48, head_count=4, max_seq_len=32),
+                        1, seed=0)
+    for name, record in (("bad", {"batch_size": 0}), ("ok", {"batch_size": 2})):
+        save_checkpoint(model, tmp_path / name,
+                        extra={"seq_len": 16, "eval": record})
+
+    def run_eval(name, *flags):
+        return run_cli(capsys, "eval", "--checkpoint", str(tmp_path / name),
+                       "--corpus", str(small_corpus_file), *flags,
+                       "--out", str(tmp_path / "e.json"))
+
+    status, _, stderr = run_eval("bad")
+    assert status == 2
+    assert "manifest extra.eval: batch_size and max_windows must be >= 1" in stderr
+    # A flag replaces the recorded value; its range error is the flag's own.
+    status, _, stderr = run_eval("ok", "--max-windows", "0")
+    assert status == 2
+    assert ">= 1" in stderr and "manifest" not in stderr
+    assert not (tmp_path / "e.json").exists()
+    assert run_eval("ok", "--max-windows", "3")[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +626,8 @@ def test_ablate_cells_record_validation_fraction(capsys, tmp_path,
     for cell in ("with_pet", "without_pet"):
         stage = out / "cells" / cell / "checkpoints" / "stage_02"
         manifest = json.loads((stage / "manifest.json").read_text())
-        assert manifest["extra"]["validation_fraction"] == 0.2
+        assert manifest["extra"]["eval"] == {"validation_fraction": 0.2,
+                                             "batch_size": 8, "max_windows": 4}
     ledger = json.loads((out / "cells" / "with_pet" / "ledger.json").read_text())
     status, _, _ = run_cli(
         capsys, "eval", "--checkpoint",
@@ -585,6 +637,21 @@ def test_ablate_cells_record_validation_fraction(capsys, tmp_path,
     payload = json.loads((tmp_path / "e.json").read_text())
     assert payload["ppl"] == pytest.approx(ledger["stages"][-1]["val_ppl"],
                                            rel=1e-12)
+
+
+def test_ablate_too_short_creates_nothing(capsys, tmp_path):
+    corpus = tmp_path / "short.bin"
+    corpus.write_bytes(bytes(range(256)) * 11 + bytes(184))
+    out = tmp_path / "ablation"
+    cfg_path = write_config(tmp_path, corpus, tmp_path / "run",
+                            train={"seq_len": 32, "batch_size": 200})
+    argv = ["ablate", "--axis", "pet", "--config", str(cfg_path), "--out", str(out)]
+    status, _, stderr = run_cli(capsys, *argv)
+    assert status == 2
+    assert "too short for seq_len 32 and batch_size 200" in stderr
+    assert not out.exists()
+    write_config(tmp_path, corpus, tmp_path / "run", train={"seq_len": 32})
+    assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_ablate_requires_multi_stage_plan(capsys, tmp_path, small_corpus_file):

@@ -104,10 +104,9 @@ def test_batches_cover_every_window_once(tmp_path):
 def test_batches_drop_last(tmp_path):
     path = write_corpus(tmp_path, "c.bin", bytes(1001))
     train, _ = load_corpus(path, validation_fraction=0.2)  # 8 windows of 100
-    assert len(list(batches(train, 100, 3, seed=0))) == 2
-    kept = list(batches(train, 100, 3, seed=0, drop_last=False))
-    assert len(kept) == 3
-    assert kept[-1][0].shape == (2, 100)
+    kept = list(batches(train, 100, 3, seed=0))
+    assert len(kept) == 2  # the last two windows make no full batch
+    assert all(inputs.shape == (3, 100) for inputs, _ in kept)
 
 
 def test_batches_deterministic_and_seed_sensitive(tmp_path):
@@ -143,6 +142,10 @@ def test_batch_cycle_too_short(tmp_path):
     it = batch_cycle(train, seq_len=100, batch_size=1, seed=0)
     with pytest.raises(CorpusError):
         next(it)
+    path = write_corpus(tmp_path, "d.bin", bytes(1001))
+    train, _ = load_corpus(path, validation_fraction=0.2)  # 8 windows of 100
+    with pytest.raises(CorpusError, match="batch_size 9"):
+        next(batch_cycle(train, seq_len=100, batch_size=9, seed=0))
 
 
 def test_batches_validation():
@@ -158,9 +161,8 @@ def test_batches_validation():
 # ---------------------------------------------------------------------------
 
 def eval_model(layer_count=1):
-    cfg = ModelConfig(hidden_dim=48, layer_count=layer_count, head_count=4,
-                      max_seq_len=64)
-    return build_model(cfg, seed=0)
+    cfg = ModelConfig(hidden_dim=48, head_count=4, max_seq_len=64)
+    return build_model(cfg, layer_count, seed=0)
 
 
 def random_stream(n, seed=0, split="validation"):

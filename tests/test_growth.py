@@ -12,9 +12,9 @@ from stagegrow.model import (MATRIX_NAMES, ModelConfig, build_model, forward,
 
 def make_model(layer_count=2, seed=0, hidden_dim=48):
     head_count = 4 if hidden_dim % 8 == 0 else 2
-    cfg = ModelConfig(hidden_dim=hidden_dim, layer_count=layer_count,
-                      head_count=head_count, max_seq_len=32)
-    return build_model(cfg, seed=seed)
+    cfg = ModelConfig(hidden_dim=hidden_dim, head_count=head_count,
+                      max_seq_len=32)
+    return build_model(cfg, layer_count, seed=seed)
 
 
 def layer_arrays(layer):
@@ -99,7 +99,7 @@ def test_doubling_interleaves():
     # Fresh storage: editing the clone leaves the source alone.
     model.layers[1].w_q.data[...] = 99.0
     assert not np.array_equal(a.w_q.data, model.layers[1].w_q.data)
-    assert model.config.layer_count == 4
+    assert model.layer_count == 4
 
 
 def test_mean_init_with_top_gap_fallback():
@@ -126,7 +126,7 @@ def test_new_layer_positions(position, expected):
     assert grow(model, 2, GrowthOptions(position=position, init="copy"),
                 seed=0) == expected
     assert added_layers(model, before) == expected
-    assert model.config.layer_count == 6
+    assert model.layer_count == 6
 
 
 def test_grow_random_position():

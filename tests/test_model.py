@@ -13,7 +13,7 @@ from stagegrow.model import (MASK_VALUE, ModelConfig, build_model, causal_mask,
 
 
 def small_config(**overrides):
-    base = dict(hidden_dim=48, layer_count=2, head_count=4, max_seq_len=32)
+    base = dict(hidden_dim=48, head_count=4, max_seq_len=32)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -39,7 +39,7 @@ def test_config_validation():
         small_config(hidden_dim=6, head_count=3)   # head_dim 2, fine
         small_config(hidden_dim=6, head_count=6)   # head_dim 1, odd
     with pytest.raises(ValueError):
-        small_config(layer_count=0)
+        build_model(small_config(), 0, seed=0)  # depth is build_model's
     with pytest.raises(ValueError):
         small_config(vocab_size=0)
     with pytest.raises(ValueError):
@@ -52,7 +52,7 @@ def test_config_validation():
 
 def test_config_rejects_odd_head_dim():
     with pytest.raises(ValueError):
-        ModelConfig(hidden_dim=9, layer_count=1, head_count=3)  # head_dim 3
+        ModelConfig(hidden_dim=9, head_count=3)  # head_dim 3
 
 
 # ---------------------------------------------------------------------------
@@ -61,27 +61,26 @@ def test_config_rejects_odd_head_dim():
 
 def test_build_is_deterministic():
     cfg = small_config()
-    m1 = build_model(cfg, seed=5)
-    m2 = build_model(cfg, seed=5)
+    m1 = build_model(cfg, 2, seed=5)
+    m2 = build_model(cfg, 2, seed=5)
     p1, p2 = named_parameters(m1), named_parameters(m2)
     assert [n for n, _ in p1] == [n for n, _ in p2]
     for (_, a), (_, b) in zip(p1, p2):
         assert np.array_equal(a.data, b.data)
-    m3 = build_model(cfg, seed=6)
+    m3 = build_model(cfg, 2, seed=6)
     assert any(not np.array_equal(a.data, c.data)
                for (_, a), (_, c) in zip(p1, named_parameters(m3)))
 
 
 @pytest.mark.parametrize("d,heads", [(48, 4), (96, 6), (384, 8)])
 def test_layer_census_matches_accounting_model(d, heads):
-    cfg = ModelConfig(hidden_dim=d, layer_count=1, head_count=heads)
-    model = build_model(cfg, seed=0)
+    cfg = ModelConfig(hidden_dim=d, head_count=heads)
+    model = build_model(cfg, 1, seed=0)
     assert model.layers[0].param_count() == layer_params(d)
 
 
 def test_param_counts_untied():
-    cfg = small_config(layer_count=3)
-    model = build_model(cfg, seed=0)
+    model = build_model(small_config(), 3, seed=0)
     counts = param_counts(model)
     assert counts.trainable_layer == 3 * layer_params(48)
     assert counts.frozen_layer == 0
@@ -95,7 +94,7 @@ def test_param_counts_untied():
 
 def test_param_counts_tied():
     cfg = small_config(tied_embeddings=True)
-    model = build_model(cfg, seed=0)
+    model = build_model(cfg, 2, seed=0)
     names = [n for n, _ in named_parameters(model)]
     assert "unembed" not in names
     assert model.unembed is None
@@ -104,7 +103,7 @@ def test_param_counts_tied():
 
 
 def test_frozen_layers_leave_trainable_list():
-    model = build_model(small_config(), seed=0)
+    model = build_model(small_config(), 2, seed=0)
     model.layers[0].set_frozen(True)
     names = [n for n, _ in trainable_parameters(model)]
     assert not any(n.startswith("layers.0.") for n in names)
@@ -116,7 +115,7 @@ def test_frozen_layers_leave_trainable_list():
 
 
 def test_freezing_drops_the_layer_gradients():
-    model = build_model(small_config(), seed=0)
+    model = build_model(small_config(), 2, seed=0)
     rng = np.random.default_rng(0)
     ids = rng.integers(0, 256, size=(2, 8))
     cross_entropy(forward(model, ids), rng.integers(0, 256, size=(2, 8))).backward()
@@ -132,8 +131,8 @@ def test_freezing_drops_the_layer_gradients():
 
 
 def test_residual_output_init_is_depth_scaled():
-    cfg = ModelConfig(hidden_dim=96, layer_count=8, head_count=6)
-    model = build_model(cfg, seed=0)
+    cfg = ModelConfig(hidden_dim=96, head_count=6)
+    model = build_model(cfg, 8, seed=0)
     layer = model.layers[0]
     expected = 0.02 / np.sqrt(16.0)
     assert float(np.std(layer.w_o.data)) == pytest.approx(expected, rel=0.1)
@@ -149,6 +148,9 @@ def test_rope_cache_layout():
     cos, sin = rope_cache(16, 8, 10000.0, np.float32)
     assert cos.shape == sin.shape == (16, 8)
     assert cos.dtype == np.float32
+    # Shared by every forward: one cached pair, read-only.
+    assert rope_cache(16, 8, 10000.0, np.float32)[0] is cos
+    assert not cos.flags.writeable and not sin.flags.writeable
     # Position zero is the identity rotation.
     assert np.array_equal(cos[0], np.ones(8, dtype=np.float32))
     assert np.array_equal(sin[0], np.zeros(8, dtype=np.float32))
@@ -177,7 +179,7 @@ def test_causal_mask_values():
 # ---------------------------------------------------------------------------
 
 def test_forward_shape_and_dtype():
-    model = build_model(small_config(), seed=1)
+    model = build_model(small_config(), 2, seed=1)
     tokens = np.arange(2 * 16).reshape(2, 16) % 256
     logits = forward(model, tokens)
     assert logits.shape == (2, 16, 256)
@@ -186,7 +188,7 @@ def test_forward_shape_and_dtype():
 
 
 def test_forward_validation():
-    model = build_model(small_config(), seed=1)
+    model = build_model(small_config(), 2, seed=1)
     with pytest.raises(ValueError):
         forward(model, np.zeros(8, dtype=np.int64))
     with pytest.raises(ValueError):
@@ -197,7 +199,7 @@ def test_forward_validation():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_forward_is_causal(seed):
-    model = build_model(small_config(), seed=seed)
+    model = build_model(small_config(), 2, seed=seed)
     rng = np.random.default_rng(seed)
     tokens = rng.integers(0, 256, size=(1, 16))
     changed = tokens.copy()
@@ -213,7 +215,7 @@ def test_forward_is_causal(seed):
 def test_silenced_layers_reduce_to_embedding_readout():
     # With every residual output zeroed the blocks add exact zeros, so the
     # network is embed -> final norm -> unembed; replicate that in numpy.
-    model = build_model(small_config(layer_count=3), seed=2)
+    model = build_model(small_config(), 3, seed=2)
     for layer in model.layers:
         layer.w_o.data[...] = 0.0
         layer.w_down.data[...] = 0.0
@@ -228,7 +230,7 @@ def test_silenced_layers_reduce_to_embedding_readout():
 
 
 def test_forward_backward_full_model():
-    model = build_model(small_config(), seed=3)
+    model = build_model(small_config(), 2, seed=3)
     rng = np.random.default_rng(3)
     tokens = rng.integers(0, 256, size=(2, 8))
     loss = cross_entropy(forward(model, tokens[:, :-1]), tokens[:, 1:])
@@ -242,7 +244,7 @@ def test_forward_backward_full_model():
 
 
 def test_named_parameters_order_stable():
-    model = build_model(small_config(), seed=0)
+    model = build_model(small_config(), 2, seed=0)
     names = [n for n, _ in named_parameters(model)]
     assert names[:3] == ["embed", "unembed", "final_gain"]
     assert names[3] == "layers.0.w_q"
@@ -255,8 +257,8 @@ def test_forward_matmul_flops_follow_the_benchmark_contract(monkeypatch):
     # array (or the array's base).  An engine change that moves a GEMM out
     # of matmul, or hands it a weight copy, breaks that tracing.
     d, rank, seq, batch = 48, 4, 16, 2
-    cfg = small_config(hidden_dim=d, layer_count=3, max_seq_len=seq)
-    model = build_model(cfg, seed=0)
+    cfg = small_config(hidden_dim=d, max_seq_len=seq)
+    model = build_model(cfg, 3, seed=0)
     freeze_layers(model, [0, 1])
     attach_adapters(model, [0, 1], GrowthOptions(adapter_rank=rank), seed=1)
     params = {id(t.data): name for name, t in named_parameters(model)}
@@ -283,7 +285,7 @@ def test_forward_matmul_flops_follow_the_benchmark_contract(monkeypatch):
     monkeypatch.setattr(autodiff, "softmax", traced_softmax)
     tokens = np.random.default_rng(0).integers(0, 256, size=(batch, seq))
     forward(model, tokens)
-    assert softmax_inputs == [(batch, cfg.head_count, seq, seq)] * cfg.layer_count
+    assert softmax_inputs == [(batch, cfg.head_count, seq, seq)] * model.layer_count
 
     per_token = 2 * cfg.vocab_size * d + 3 * (24 * d * d + 4 * seq * d) + 2 * 38 * rank * d
     assert sum(flops for _, _, flops in calls) == per_token * batch * seq
@@ -291,7 +293,7 @@ def test_forward_matmul_flops_follow_the_benchmark_contract(monkeypatch):
     # other product's right operand is a named parameter.
     core = [c for c in calls if c[1] == 4]
     weights = [c for c in calls if c[1] == 2]
-    assert len(core) == 2 * cfg.layer_count and all(c[0] is None for c in core)
+    assert len(core) == 2 * model.layer_count and all(c[0] is None for c in core)
     assert len(weights) == len(calls) - len(core)
     assert all(name is not None for name, _, _ in weights), weights
     assert sum(".adapters." in name for name, _, _ in weights) == 2 * 2 * 7
@@ -301,9 +303,9 @@ def test_attention_records_two_score_sized_nodes_per_layer(monkeypatch):
     # Scale, mask and softmax are one node, so the graph of a layer holds
     # only two (batch, head, seq, seq) arrays: the scores and the
     # probabilities.  Another node at that size would save one more.
-    cfg = small_config(layer_count=3)
+    cfg = small_config()
     batch, seq = 2, 16  # seq != head_dim, so no other node has this shape
-    model = build_model(cfg, seed=0)
+    model = build_model(cfg, 3, seed=0)
     freeze_layers(model, [0, 1])
     attach_adapters(model, [0, 1], GrowthOptions(adapter_rank=4), seed=1)
     made = []
@@ -319,7 +321,7 @@ def test_attention_records_two_score_sized_nodes_per_layer(monkeypatch):
     forward(model, tokens)
     square = [(op, grad) for op, shape, grad in made
               if shape == (batch, cfg.head_count, seq, seq)]
-    assert square == [("matmul", True), ("softmax", True)] * cfg.layer_count
+    assert square == [("matmul", True), ("softmax", True)] * model.layer_count
 
 
 def _step_peak_bytes(model, tokens) -> int:
@@ -337,10 +339,10 @@ def _step_peak_bytes(model, tokens) -> int:
 @pytest.fixture(scope="module")
 def d96_step_peaks():
     """Step peaks of vanilla and of stage 2 (4 of 8 layers frozen, rank 8)."""
-    cfg = ModelConfig(hidden_dim=96, layer_count=8, head_count=6, max_seq_len=64)
+    cfg = ModelConfig(hidden_dim=96, head_count=6, max_seq_len=64)
     tokens = np.random.default_rng(0).integers(0, 256, size=(8, 65))
-    vanilla = build_model(cfg, seed=0)
-    staged = build_model(cfg, seed=0)
+    vanilla = build_model(cfg, 8, seed=0)
+    staged = build_model(cfg, 8, seed=0)
     freeze_layers(staged, range(4))
     attach_adapters(staged, range(4), GrowthOptions(adapter_rank=8), seed=1)
     peaks = {}

@@ -23,8 +23,7 @@ from stagegrow.trainer import (GrowthOptions, RunLedger, StageRecord,
                                clip_gradients, global_grad_norm, lr_at,
                                run_schedule, simulated_bytes)
 
-MODEL_CONFIG = ModelConfig(hidden_dim=48, layer_count=2, head_count=4,
-                           max_seq_len=32)
+MODEL_CONFIG = ModelConfig(hidden_dim=48, head_count=4, max_seq_len=32)
 
 
 def train_config(**overrides):
@@ -211,7 +210,7 @@ def test_growth_options_reject_bad_policy_when_built(overrides):
 
 def test_growth_options_default_adapter_scale():
     # adapter_scale None resolves to 1/rank when adapters attach.
-    model = build_model(MODEL_CONFIG, seed=0)
+    model = build_model(MODEL_CONFIG, 2, seed=0)
     freeze_layers(model, [0, 1])
     attach_adapters(model, [0], GrowthOptions(adapter_rank=4), seed=0)
     adapters = model.layers[0].adapters.values()
@@ -266,9 +265,7 @@ def test_three_stage_ledger(streams):
     train, _ = streams
     plan = (2, 1, 1)
     cfg = train_config(total_steps=16, seed=3)
-    model_cfg = ModelConfig(hidden_dim=48, layer_count=2, head_count=4,
-                            max_seq_len=32)
-    result = run_schedule(model_cfg, plan, cfg, GrowthOptions(adapter_rank=4),
+    result = run_schedule(MODEL_CONFIG, plan, cfg, GrowthOptions(adapter_rank=4),
                           train, None)
     assert [s.steps for s in result.ledger.stages] == [12, 3, 1]
     assert [s.cumulative_layers for s in result.ledger.stages] == [2, 3, 4]
@@ -320,7 +317,7 @@ def test_measured_trade_tracks_the_byte_model(streams):
     d, rank = 384, 8
 
     def run_peak(plan, steps):
-        model_cfg = ModelConfig(hidden_dim=d, layer_count=plan[0], head_count=6)
+        model_cfg = ModelConfig(hidden_dim=d, head_count=6)
         cfg = train_config(total_steps=steps, growth_fraction=0.5,
                            batch_size=1, seq_len=64)
         tracemalloc.start()
@@ -351,7 +348,7 @@ def test_single_stage_equals_plain_loop(streams):
     result = run_schedule(MODEL_CONFIG, (2,), cfg, GrowthOptions(),
                           train, None)
 
-    model = build_model(MODEL_CONFIG, seed=cfg.seed)
+    model = build_model(MODEL_CONFIG, 2, seed=cfg.seed)
     batches = batch_cycle(train, cfg.seq_len, cfg.batch_size, seed=cfg.seed + 1)
     state = {}
     for step in range(cfg.total_steps):
@@ -511,10 +508,3 @@ def test_run_log_tracks_schedule(streams, tmp_path):
     assert steps[13]["lr"] < cfg.peak_lr
     grow_lines = [rec for rec in lines if rec.get("event") == "grow"]
     assert len(grow_lines) == 1 and grow_lines[0]["step"] == 12
-
-
-def test_layer_count_mismatch_rejected(streams):
-    train, _ = streams
-    with pytest.raises(ValueError):
-        run_schedule(MODEL_CONFIG, (3, 1), train_config(), GrowthOptions(),
-                     train, None)
