@@ -19,7 +19,7 @@ config = ModelConfig(hidden_dim=48, head_count=4, vocab_size=256, max_seq_len=32
 model = build_model(config, 4, seed=0)
 ids = rng.integers(0, 256, size=(2, 24))
 reference = forward(model, ids).data.copy()
-print(f"base model: {model.layer_count} layers, "
+print(f"base model: {len(model.layers)} layers, "
       f"{param_counts(model).total:,} params")
 
 # Where do new layers land?  Gap g means "above old layer g".
@@ -32,9 +32,9 @@ for position in ("upper", "intermediate", "lower", "random"):
 options = GrowthOptions(position="upper", init="mean", fpi=True,
                         adapter_rank=4)
 new_at = grow(model, 2, options, seed=7)
-old_at = [i for i in range(model.layer_count) if i not in new_at]
+old_at = [i for i in range(len(model.layers)) if i not in new_at]
 after_growth = forward(model, ids).data
-print(f"\ngrew 4 -> {model.layer_count} layers with fpi "
+print(f"\ngrew 4 -> {len(model.layers)} layers with fpi "
       f"(new layers at {new_at})")
 print(f"  max |logit delta|: {np.max(np.abs(after_growth - reference)):.1e}"
       "  (bit-exact)")

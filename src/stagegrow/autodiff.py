@@ -218,21 +218,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def backward(self) -> None:
         """Backpropagate from a scalar into the .grad of every leaf it reaches.
 

@@ -7,8 +7,9 @@ table's count of `layers.{i}` blocks.  An array is frozen when it takes no
 gradient; only a layer's own arrays may be, and then all nine of them.
 params.bin holds the arrays, float32 only, back to back as little-endian
 float32 in that order.  The manifest stores the blob's sha256; the loader
-verifies it, and that each array starts where the one before it ends, so
-loading a checkpoint either reproduces the saved model bit-for-bit or
+verifies it, that each array starts where the one before it ends, and
+that each has the shape its config (and the one adapter rank) gives it,
+so loading a checkpoint either reproduces the saved model bit-for-bit or
 fails loudly.
 
 Run artifacts, checkpoints included, are written by `write_atomic` and
@@ -28,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .model import (LAYER_TENSOR_NAMES, MATRIX_NAMES, Adapter, LayerBlock,
-                    ModelConfig, ToyModel, named_parameters)
+from .model import (MATRIX_NAMES, Adapter, LayerBlock, ModelConfig, ToyModel,
+                    named_parameters)
 
 FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
@@ -151,7 +152,10 @@ def _rebuild(manifest: dict, blob: bytes) -> ToyModel:
     if digest != manifest["blob_sha256"]:
         raise DigestError("blob sha256 does not match the manifest")
 
-    config = ModelConfig(**manifest["config"])
+    try:
+        config = ModelConfig(**manifest["config"])
+    except ValueError as exc:
+        raise CheckpointError(f"malformed manifest: {exc}") from exc
     arrays = {}
     offset = 0  # the arrays lie back to back, in table order
     for e in manifest["arrays"]:
@@ -170,25 +174,31 @@ def _rebuild(manifest: dict, blob: bytes) -> ToyModel:
         raise CheckpointError(f"malformed manifest: arrays cover {offset} "
                               f"of the blob's {len(blob)} bytes")
 
-    def take(name: str, can_freeze: bool = False) -> Tensor:
+    def take(name: str, shape: tuple, can_freeze: bool = False) -> Tensor:
         if name not in arrays:
             raise CheckpointError(f"manifest is missing array {name}")
         data, frozen = arrays.pop(name)
+        if data.shape != shape:
+            raise CheckpointError(f"malformed manifest: array {name} has shape "
+                                  f"{data.shape}, expected {shape}")
         if type(frozen) is not bool or (frozen and not can_freeze):
             raise CheckpointError(f"array {name} cannot have frozen {frozen!r}")
         return Tensor(data, requires_grad=not frozen)
 
-    embed = take("embed")
-    unembed = None if config.tied_embeddings else take("unembed")
-    final_gain = take("final_gain")
+    table = (config.vocab_size, config.hidden_dim)
+    embed = take("embed", table)
+    unembed = None if config.tied_embeddings else take("unembed", table)
+    final_gain = take("final_gain", (config.hidden_dim,))
 
     adapter_meta = manifest.get("adapter")
+    shapes = config.layer_shapes
     layers = []
     # Depth is the count of layers.{i}.* blocks; a gap leaves unexpected arrays.
     while f"layers.{len(layers)}.w_q" in arrays:
         i = len(layers)
         prefix = f"layers.{i}."
-        layer = LayerBlock(**{n: take(prefix + n, can_freeze=True) for n in LAYER_TENSOR_NAMES})
+        layer = LayerBlock(**{n: take(prefix + n, shape, can_freeze=True)
+                              for n, shape in shapes.items()})
         if len({t.requires_grad for t in layer.all_tensors().values()}) > 1:
             raise CheckpointError(f"layer {i}'s arrays disagree on frozen")
         for m_name in MATRIX_NAMES:
@@ -196,8 +206,11 @@ def _rebuild(manifest: dict, blob: bytes) -> ToyModel:
             if a_name in arrays:
                 if adapter_meta is None:
                     raise CheckpointError("adapter arrays without adapter metadata")
+                rank = adapter_meta["rank"]
+                out_dim, in_dim = shapes[m_name]
                 layer.adapters[m_name] = Adapter(
-                    a=take(a_name), b=take(f"{prefix}adapters.{m_name}.b"),
+                    a=take(a_name, (out_dim, rank)),
+                    b=take(f"{prefix}adapters.{m_name}.b", (rank, in_dim)),
                     scale=adapter_meta["scale"])
         layers.append(layer)
     if arrays:

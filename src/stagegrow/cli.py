@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import typing
@@ -225,24 +226,27 @@ def memory_chart_svg(estimate: memory_lib.MemoryEstimate, vanilla_bytes: int) ->
     return "\n".join(parts) + "\n"
 
 
+def _write_csv(path: Path, rows) -> None:
+    """Write rows, header first, as CSV by `checkpoint.write_atomic`."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    ckpt.write_atomic(path, text.getvalue().encode())
+
+
 def _write_plan_reports(out_dir: Path, report: dict,
                         estimate: memory_lib.MemoryEstimate,
                         vanilla_bytes: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt.write_json(out_dir / "report.json", report)
-    with open(out_dir / "stages.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "new_layers", "cumulative_layers",
-                         "total_bytes", "new_layer_state_bytes",
-                         "frozen_param_bytes", "adapter_state_bytes",
-                         "embedding_state_bytes"])
-        cumulative = 0
-        for s in estimate.stages:
-            cumulative += s.new_layers
-            writer.writerow([s.stage, s.new_layers, cumulative, s.total_bytes,
-                             s.new_layer_state_bytes, s.frozen_param_bytes,
-                             s.adapter_state_bytes, s.embedding_state_bytes])
-    (out_dir / "memory.svg").write_text(memory_chart_svg(estimate, vanilla_bytes))
+    _write_csv(out_dir / "stages.csv", [
+        ["stage", "new_layers", "cumulative_layers", "total_bytes",
+         "new_layer_state_bytes", "frozen_param_bytes", "adapter_state_bytes",
+         "embedding_state_bytes"],
+        *([s.stage, s.new_layers, s.prior_layers + s.new_layers, s.total_bytes,
+           s.new_layer_state_bytes, s.frozen_param_bytes, s.adapter_state_bytes,
+           s.embedding_state_bytes] for s in estimate.stages)])
+    ckpt.write_atomic(out_dir / "memory.svg",
+                      memory_chart_svg(estimate, vanilla_bytes).encode())
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +415,7 @@ def _cell_slug(label: str) -> str:
 
 def cmd_ablate(args) -> int:
     cfg, plan, model_cfg, train_cfg, growth, evaluation = load_run_config(args.config)
-    if plan.stage_count < 2:
+    if len(plan) < 2:
         raise ConfigError("ablations need a plan with at least two stages")
     if args.axis == "pet" and growth.adapter_rank < 1:
         raise ConfigError("pet axis needs growth.adapter_rank >= 1 in the config")
@@ -442,10 +446,7 @@ def cmd_ablate(args) -> int:
 
     root.mkdir(parents=True, exist_ok=True)
     ckpt.write_json(root / "results.json", {"axis": args.axis, "cells": rows})
-    with open(root / "results.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(root / "results.csv", [list(rows[0]), *(r.values() for r in rows)])
 
     width = max(len(r["cell"]) for r in rows)
     print(f"{'cell'.ljust(width)}  {'val_ppl':>10}  {'peak_bytes':>14}")

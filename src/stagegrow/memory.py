@@ -82,16 +82,14 @@ class StagePlan:
         return len(self.increments)
 
     @property
-    def stage_count(self) -> int:
-        return len(self.increments)
-
-    @property
     def cumulative(self) -> tuple[int, ...]:
         return tuple(itertools.accumulate(self.increments))
 
     @property
-    def target_layers(self) -> int:
-        return sum(self.increments)
+    def stages(self) -> tuple[tuple[int, int], ...]:
+        """(prior, new) layer counts of each stage: stage i adds new on prior."""
+        priors = itertools.accumulate(self.increments[:-1], initial=0)
+        return tuple(zip(priors, self.increments))
 
     def describe(self) -> str:
         """Cumulative depth chain, e.g. '14 -> 24'."""
@@ -154,8 +152,7 @@ def state_bytes(trainable: int, frozen: int = 0) -> int:
 
 def vanilla_state_bytes(layer_count: int, hidden_dim: int, embedding_params: int = 0) -> int:
     """Bytes to train all layers at once: 16 B/param across the board."""
-    layers = stage_params(0, layer_count, ModelShape(hidden_dim, layer_count))
-    return state_bytes(layers.trainable + embedding_params)
+    return state_bytes(layer_params(hidden_dim) * layer_count + embedding_params)
 
 
 @dataclass(frozen=True)
@@ -187,8 +184,7 @@ def stage_state_bytes(plan, stage: int, shape: ModelShape,
     plan = StagePlan.of(plan)
     if not 1 <= stage <= len(plan):
         raise IndexError(f"stage {stage} out of range 1..{len(plan)}")
-    n_new = plan.increments[stage - 1]
-    n_prior = plan.cumulative[stage - 1] - n_new
+    n_prior, n_new = plan.stages[stage - 1]
     params = stage_params(n_prior, n_new, shape)
     return StageMemory(
         stage=stage,

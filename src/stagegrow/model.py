@@ -70,6 +70,14 @@ class ModelConfig:
     def ffn_dim(self) -> int:
         return 8 * self.hidden_dim // 3
 
+    @property
+    def layer_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of each of a layer's own tensors, in LAYER_TENSOR_NAMES order."""
+        d, f = self.hidden_dim, self.ffn_dim
+        return {"w_q": (d, d), "w_k": (d, d), "w_v": (d, d), "w_o": (d, d),
+                "w_gate": (f, d), "w_up": (f, d), "w_down": (d, f),
+                "g_attn": (d,), "g_ffn": (d,)}
+
 
 @dataclass
 class Adapter:
@@ -130,10 +138,6 @@ class ToyModel:
     layers: list[LayerBlock]
 
     @property
-    def layer_count(self) -> int:
-        return len(self.layers)
-
-    @property
     def dtype(self) -> np.dtype:
         return self.embed.data.dtype
 
@@ -164,19 +168,15 @@ def _init_matrix(rng: np.random.Generator, out_dim: int, in_dim: int,
 def init_layer(rng: np.random.Generator, config: ModelConfig, layer_count: int,
                dtype) -> LayerBlock:
     """Fresh trainable layer; residual outputs get init scaled by layer_count."""
-    d, f = config.hidden_dim, config.ffn_dim
     out_std = INIT_STD / np.sqrt(2.0 * layer_count)
-    return LayerBlock(
-        w_q=_init_matrix(rng, d, d, INIT_STD, dtype),
-        w_k=_init_matrix(rng, d, d, INIT_STD, dtype),
-        w_v=_init_matrix(rng, d, d, INIT_STD, dtype),
-        w_o=_init_matrix(rng, d, d, out_std, dtype),
-        w_gate=_init_matrix(rng, f, d, INIT_STD, dtype),
-        w_up=_init_matrix(rng, f, d, INIT_STD, dtype),
-        w_down=_init_matrix(rng, d, f, out_std, dtype),
-        g_attn=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
-        g_ffn=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
-    )
+    tensors = {}
+    for name, shape in config.layer_shapes.items():
+        if name in MATRIX_NAMES:
+            std = out_std if name in RESIDUAL_OUTPUT_NAMES else INIT_STD
+            tensors[name] = _init_matrix(rng, *shape, std, dtype)
+        else:
+            tensors[name] = Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+    return LayerBlock(**tensors)
 
 
 def build_model(config: ModelConfig, layer_count: int, seed: int, dtype=np.float32) -> ToyModel:

@@ -121,8 +121,7 @@ def solve_exact(layer_target: int, stage_count: int, shape: ModelShape) -> Stage
 
     plan = StagePlan(tuple(
         cumulative[i] - cumulative[i - 1] for i in range(1, K + 1)))
-    got = max(bytes_of(plan.cumulative[i] - plan.increments[i], plan.increments[i])
-              for i in range(K))
+    got = max(bytes_of(prior, new) for prior, new in plan.stages)
     assert got == objective, "reconstructed plan misses DP objective"
     return plan
 
@@ -193,8 +192,7 @@ def flops_staged(stages: Iterable[tuple[int, int, int]]) -> int:
 def stage_param_counts(plan, shape: ModelShape) -> list[tuple[int, int]]:
     """Non-embedding (trainable, frozen) counts of memory.stage_params per stage."""
     plan = StagePlan.of(plan)
-    stages = (stage_params(total - new, new, shape)
-              for new, total in zip(plan.increments, plan.cumulative))
+    stages = (stage_params(prior, new, shape) for prior, new in plan.stages)
     return [(s.trainable, s.frozen) for s in stages]
 
 
@@ -242,63 +240,50 @@ class FlopsBudget:
 
 def token_budget(plan, shape: ModelShape, flops_budget: int,
                  growth_fraction: float, batch_tokens: int) -> FlopsBudget:
-    """Steps/tokens per stage so staged training spends `flops_budget`.
+    """Steps/tokens per stage so staged training spends closest to `flops_budget`.
 
-    Solves for the total step count against the stage-weighted cost of one
-    step, then nudges the integer total so the exact stage-split total lands
-    closest to the budget (within one batch of it).
+    A total step count spends what its split_steps split costs at each
+    stage's stage_flops.  No stage loses a step when the total grows, so
+    that spend rises with every step, and bisection finds the largest total
+    within the budget.  Of the totals that fund one step per stage, the one
+    whose spend is closest to the budget wins, ties to fewer steps.
+    BudgetError when even the cheapest funded total costs more than the
+    budget.
     """
     plan = StagePlan.of(plan)
     if flops_budget <= 0:
         raise BudgetError(f"flops_budget must be positive, got {flops_budget}")
     if batch_tokens < 1:
         raise ValueError(f"batch_tokens must be >= 1, got {batch_tokens}")
-    if not 0.0 < growth_fraction <= 1.0:
-        raise ValueError(f"growth_fraction must be in (0, 1], got {growth_fraction}")
 
     counts = stage_param_counts(plan, shape)
-    per_token = [stage_flops(t, f, 1) for t, f in counts]
+    step_flops = [stage_flops(t, f, batch_tokens) for t, f in counts]
 
-    # Fraction of all steps each stage receives under the recursive rule.
-    k = plan.stage_count
-    weights = []
-    remaining = 1.0
-    for _ in range(k - 1):
-        weights.append(growth_fraction * remaining)
-        remaining *= 1.0 - growth_fraction
-    weights.append(remaining)
-    weighted_step = batch_tokens * sum(w * c for w, c in zip(weights, per_token))
-    if weighted_step <= 0.0:
-        raise BudgetError("degenerate plan: zero cost per step")
+    def spend(total_steps: int) -> int:
+        steps = split_steps(total_steps, len(plan), growth_fraction)
+        return sum(s * c for s, c in zip(steps, step_flops))
 
-    base = int(flops_budget / weighted_step)
-
-    def exact_total(total_steps: int) -> tuple[int, list[int]]:
-        steps = split_steps(total_steps, k, growth_fraction)
-        return sum(s * c * batch_tokens for s, c in zip(steps, per_token)), steps
-
-    best = None
-    for cand in range(max(k, base - 1), base + 3):
-        total, steps = exact_total(cand)
-        if any(s < 1 for s in steps):
-            continue
-        key = (abs(total - flops_budget), cand)
-        if best is None or key < best[0]:
-            best = (key, cand, steps, total)
-    if best is None:
+    # spend(low) <= budget < spend(high), as every step costs >= min(step_flops).
+    low, high = 0, int(flops_budget // min(step_flops)) + 1
+    while high - low > 1:
+        mid = (low + high) // 2
+        if spend(mid) <= flops_budget:
+            low = mid
+        else:
+            high = mid
+    if min(split_steps(low, len(plan), growth_fraction)) < 1:
         raise BudgetError(
             f"budget {flops_budget} cannot fund one step per stage at "
             f"batch_tokens={batch_tokens}")
-    _, total_steps, steps, _ = best
+    total_steps = low if flops_budget - spend(low) <= spend(high) - flops_budget else high
+    steps = split_steps(total_steps, len(plan), growth_fraction)
 
-    per_stage = []
-    for i, (s, (t, f), c) in enumerate(zip(steps, counts, per_token), start=1):
-        tokens = s * batch_tokens
-        per_stage.append(StageBudget(
-            stage=i, trainable_params=t, frozen_params=f,
-            steps=s, tokens=tokens, flops=c * tokens))
+    per_stage = tuple(
+        StageBudget(stage=i, trainable_params=t, frozen_params=f, steps=s,
+                    tokens=s * batch_tokens, flops=s * c)
+        for i, (s, (t, f), c) in enumerate(zip(steps, counts, step_flops), start=1))
     return FlopsBudget(
-        per_stage=tuple(per_stage),
-        total_steps=sum(steps),
-        total_tokens=sum(b.tokens for b in per_stage),
+        per_stage=per_stage,
+        total_steps=total_steps,
+        total_tokens=total_steps * batch_tokens,
         total_flops=sum(b.flops for b in per_stage))

@@ -310,7 +310,7 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
     model = build_model(model_config, plan.increments[0], seed=config.seed)
     batches = data_lib.batch_cycle(
         train_stream, config.seq_len, config.batch_size, seed=config.seed + 1)
-    stage_steps = split_steps(config.total_steps, plan.stage_count,
+    stage_steps = split_steps(config.total_steps, len(plan),
                               config.growth_fraction)
     opt_state: dict = {}
     global_step = 0
@@ -343,7 +343,7 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
             record = StageRecord(
                 stage=stage_i,
                 layer_increment=plan.increments[stage_i - 1],
-                cumulative_layers=model.layer_count,
+                cumulative_layers=len(model.layers),
                 trainable_params=counts.trainable,
                 frozen_params=counts.frozen_layer,
                 adapter_params=counts.adapter,

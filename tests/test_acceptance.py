@@ -425,7 +425,7 @@ def test_ledger_reconciliation(small_corpus_file):
             ledger = result.ledger
 
             counts = stage_param_counts(plan, shape)
-            steps = split_steps(tc.total_steps, plan.stage_count,
+            steps = split_steps(tc.total_steps, len(plan),
                                 tc.growth_fraction)
             tokens_per_step = tc.batch_size * tc.seq_len
             for i, record in enumerate(ledger.stages):

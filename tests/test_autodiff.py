@@ -748,7 +748,7 @@ def test_forward_keeps_two_ffn_width_arrays_per_layer(monkeypatch):
     try:
         logits = forward(model, ids)
         alive = sum(r() is not None for r in made)
-        assert alive == 2 * model.layer_count, (alive, len(made))
+        assert alive == 2 * len(model.layers), (alive, len(made))
         del logits
     finally:
         gc.enable()

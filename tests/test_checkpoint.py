@@ -202,13 +202,32 @@ def edit_arrays(manifest, edits):
         "layers.0.w_k": {"offset": offset_of(m, "layers.0.w_q")}}),
     lambda m: edit_arrays(m, {"layers.1.g_ffn": {"shape": [24]}}),
     lambda m: edit_arrays(m, {"layers.1.g_ffn": {"shape": [96]}}),
+    # Each array's shape must be the one its config gives it.
+    lambda m: {**m, "config": {**m["config"], "head_count": 5}},
+    lambda m: {**m, "config": {**m["config"], "hidden_dim": 96}},
+    lambda m: edit_arrays(m, {"layers.0.w_q": {"shape": [24, 96]}}),
+    lambda m: edit_arrays(m, {"layers.0.g_attn": {"shape": [1, 48]}}),
 ], ids=["no_blob_bytes", "no_arrays", "unknown_config_key", "list", "extra_list",
-        "shared_offset", "swapped_offsets", "blob_not_covered", "blob_overrun"])
+        "shared_offset", "swapped_offsets", "blob_not_covered", "blob_overrun",
+        "config_rejected", "config_wider_than_arrays", "matrix_reshaped",
+        "gain_reshaped"])
 def test_malformed_manifest(tmp_path, edit):
     save_checkpoint(make_model(), tmp_path / "ck")
     path = tmp_path / "ck" / MANIFEST_NAME
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(CheckpointError, match="malformed manifest"):
+        load_checkpoint(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: edit_arrays(m, {"layers.0.adapters.w_q.a": {"shape": [4, 48]}}),
+    lambda m: {**m, "adapter": {**m["adapter"], "rank": 2}},
+], ids=["adapter_transposed", "adapter_rank"])
+def test_adapters_that_disagree_with_their_matrix_or_rank(tmp_path, edit):
+    save_checkpoint(make_staged_model(), tmp_path / "ck")
+    path = tmp_path / "ck" / MANIFEST_NAME
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(CheckpointError, match="malformed manifest: array"):
         load_checkpoint(tmp_path / "ck")
 
 

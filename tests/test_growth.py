@@ -99,7 +99,7 @@ def test_doubling_interleaves():
     # Fresh storage: editing the clone leaves the source alone.
     model.layers[1].w_q.data[...] = 99.0
     assert not np.array_equal(a.w_q.data, model.layers[1].w_q.data)
-    assert model.layer_count == 4
+    assert len(model.layers) == 4
 
 
 def test_mean_init_with_top_gap_fallback():
@@ -126,7 +126,7 @@ def test_new_layer_positions(position, expected):
     assert grow(model, 2, GrowthOptions(position=position, init="copy"),
                 seed=0) == expected
     assert added_layers(model, before) == expected
-    assert model.layer_count == 6
+    assert len(model.layers) == 6
 
 
 def test_grow_random_position():

@@ -285,7 +285,7 @@ def test_forward_matmul_flops_follow_the_benchmark_contract(monkeypatch):
     monkeypatch.setattr(autodiff, "softmax", traced_softmax)
     tokens = np.random.default_rng(0).integers(0, 256, size=(batch, seq))
     forward(model, tokens)
-    assert softmax_inputs == [(batch, cfg.head_count, seq, seq)] * model.layer_count
+    assert softmax_inputs == [(batch, cfg.head_count, seq, seq)] * len(model.layers)
 
     per_token = 2 * cfg.vocab_size * d + 3 * (24 * d * d + 4 * seq * d) + 2 * 38 * rank * d
     assert sum(flops for _, _, flops in calls) == per_token * batch * seq
@@ -293,7 +293,7 @@ def test_forward_matmul_flops_follow_the_benchmark_contract(monkeypatch):
     # other product's right operand is a named parameter.
     core = [c for c in calls if c[1] == 4]
     weights = [c for c in calls if c[1] == 2]
-    assert len(core) == 2 * model.layer_count and all(c[0] is None for c in core)
+    assert len(core) == 2 * len(model.layers) and all(c[0] is None for c in core)
     assert len(weights) == len(calls) - len(core)
     assert all(name is not None for name, _, _ in weights), weights
     assert sum(".adapters." in name for name, _, _ in weights) == 2 * 2 * 7
@@ -321,7 +321,7 @@ def test_attention_records_two_score_sized_nodes_per_layer(monkeypatch):
     forward(model, tokens)
     square = [(op, grad) for op, shape, grad in made
               if shape == (batch, cfg.head_count, seq, seq)]
-    assert square == [("matmul", True), ("softmax", True)] * model.layer_count
+    assert square == [("matmul", True), ("softmax", True)] * len(model.layers)
 
 
 def _step_peak_bytes(model, tokens) -> int:

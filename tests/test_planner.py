@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from plan_oracle import InstanceTooLargeError, brute_force_plan
@@ -20,8 +22,8 @@ SHAPE_2048 = ModelShape(hidden_dim=2048, layer_count=24, adapter_rank=128)
 def test_stage_plan_basics():
     plan = StagePlan((14, 10))
     assert plan.cumulative == (14, 24)
-    assert plan.target_layers == 24
-    assert plan.stage_count == 2
+    assert plan.stages == ((0, 14), (14, 10))
+    assert StagePlan((3, 1, 2)).stages == ((0, 3), (3, 1), (4, 2))
     assert plan.describe() == "14 -> 24"
     assert list(plan) == [14, 10]
     assert len(plan) == 2
@@ -162,7 +164,7 @@ def test_relaxation_infeasible_when_adapters_dominate():
     with pytest.raises(PlanInfeasibleError):
         solve_rounded(6, 2, shape)
     # The exact solver has no such restriction.
-    assert solve_exact(6, 2, shape).target_layers == 6
+    assert solve_exact(6, 2, shape).cumulative[-1] == 6
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +260,6 @@ def test_token_budget_known_mid_model():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_token_budget_consistency(seed):
-    import random
     rnd = random.Random(seed)
     d = rnd.choice([48, 96, 384])
     K = rnd.randrange(1, 4)
@@ -286,3 +287,78 @@ def test_token_budget_too_small():
         token_budget((7, 5), SHAPE_1600, -5, 0.75, 512)
     with pytest.raises(ValueError):
         token_budget((7, 5), SHAPE_1600, 10**18, 0.75, 0)
+
+
+def _closest_funded_steps(plan, shape, flops_budget, frac, batch):
+    """Brute force: the split, funding every stage, whose spend is closest.
+
+    Scans every total from 0.  A total of T steps spends at least
+    T * min(stage cost), so totals past 2 * budget / min(stage cost) cost
+    over twice the budget and lose to any funded total within it.  None
+    when no funded total fits the budget.
+    """
+    rates = [stage_flops(t, f, batch) for t, f in stage_param_counts(plan, shape)]
+    funded = []
+    for total in range(2 * flops_budget // min(rates) + 2):
+        steps = split_steps(total, len(plan), frac)
+        spend = sum(s * c for s, c in zip(steps, rates))
+        if min(steps) >= 1:
+            funded.append((abs(spend - flops_budget), total, spend, steps))
+    if not funded or min(spend for _, _, spend, _ in funded) > flops_budget:
+        return None
+    return min(funded)[3]
+
+
+def _random_budget_cases(rnd, n):
+    for _ in range(n):
+        plan = StagePlan(tuple(rnd.randrange(1, 6) for _ in range(rnd.randrange(1, 7))))
+        shape = ModelShape(rnd.randrange(1, 40), sum(plan), adapter_rank=rnd.randrange(0, 9))
+        frac = rnd.choice([0.5, 0.75, 1.0, round(rnd.uniform(0.05, 1.0), 3)])
+        batch = rnd.randrange(1, 9)
+        step = stage_flops(*stage_param_counts(plan, shape)[-1], batch)
+        yield plan, shape, rnd.randrange(1, 200 * step), frac, batch
+
+
+def _cheapest_funded_cases(rnd, n):
+    """Budgets from half to all of the cheapest funded spend."""
+    for plan, shape, _, frac, batch in _random_budget_cases(rnd, n):
+        rates = [stage_flops(t, f, batch) for t, f in stage_param_counts(plan, shape)]
+        funded = (t for t in range(1000) if min(split_steps(t, len(plan), frac)) >= 1)
+        first = next(funded, None)
+        if first is None:  # a fraction of 1.0 funds no later stage
+            continue
+        steps = split_steps(first, len(plan), frac)
+        cheapest = sum(s * c for s, c in zip(steps, rates))
+        for budget in (cheapest // 2, rnd.randrange(cheapest // 2, cheapest + 1),
+                       cheapest - 1, cheapest):
+            yield plan, shape, max(budget, 1), frac, batch
+
+
+def test_token_budget_matches_brute_force():
+    rnd = random.Random(16)
+    cases = [((2, 3, 1, 3, 5, 5), ModelShape(3, 19, adapter_rank=1), 514_964, 0.5, 3),
+             *_random_budget_cases(rnd, 200), *_cheapest_funded_cases(rnd, 50)]
+    for plan, shape, flops_budget, frac, batch in cases:
+        want = _closest_funded_steps(plan, shape, flops_budget, frac, batch)
+        try:
+            got = [b.steps for b in token_budget(plan, shape, flops_budget, frac,
+                                                 batch).per_stage]
+        except BudgetError:
+            got = None
+        assert got == want, (plan, shape, flops_budget, frac, batch)
+    # The instance the float split rule missed: 62 steps are 1,456 FLOPs
+    # over the budget, where 61 are 8,120 short.
+    assert sum(_closest_funded_steps(*cases[0])) == 62
+
+
+def test_token_budget_refuses_less_than_one_step_per_stage():
+    # (7, 5) at d=1600 and a 0.75 fraction: the cheapest funded total is
+    # 3 steps, split (2, 1).
+    (t1, f1), (t2, f2) = stage_param_counts((7, 5), SHAPE_1600)
+    cheapest = 2 * stage_flops(t1, f1, 360_000) + stage_flops(t2, f2, 360_000)
+    for flops_budget in (cheapest // 2, cheapest - 1):
+        with pytest.raises(BudgetError):
+            token_budget((7, 5), SHAPE_1600, flops_budget, 0.75, 360_000)
+    budget = token_budget((7, 5), SHAPE_1600, cheapest, 0.75, 360_000)
+    assert [b.steps for b in budget.per_stage] == [2, 1]
+    assert budget.total_flops == cheapest

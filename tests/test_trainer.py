@@ -254,7 +254,7 @@ def test_ledger_reconciles_with_planning_formulas(streams):
     assert ledger.stages[1].adapter_params == shape.adapter_rank * 19 * 48 * 2
     assert ledger.peak_simulated_bytes == max(
         s.simulated_bytes for s in ledger.stages)
-    assert result.model.layer_count == 4
+    assert len(result.model.layers) == 4
     grow_events = [e for e in ledger.stages[1].events if e["event"] == "grow"]
     assert len(grow_events) == 1
     assert grow_events[0]["new_layers"] == [1, 3]  # upper growth interleaves
@@ -457,7 +457,7 @@ def test_growth_fraction_one_trains_final_stage_zero_steps(streams):
     last = result.ledger.stages[1]
     assert last.tokens == 0 and last.flops == 0
     assert last.val_ppl is not None  # still evaluated after growing
-    assert result.model.layer_count == 4
+    assert len(result.model.layers) == 4
 
 
 def test_adapter_reset_events(streams):
