@@ -77,6 +77,11 @@ class TrainConfig:
             raise ValueError("batch_size and seq_len must be >= 1")
         if self.adapter_reset_interval is not None and self.adapter_reset_interval < 1:
             raise ValueError("adapter_reset_interval must be >= 1 or None")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.min_lr_fraction <= 1.0:
+            raise ValueError(
+                f"min_lr_fraction must be in [0, 1], got {self.min_lr_fraction}")
 
     @property
     def batch_tokens(self) -> int:

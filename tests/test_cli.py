@@ -1,11 +1,17 @@
 import csv
 import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stagegrow import data
+from stagegrow import cli, data
 from stagegrow.autodiff import NonFiniteError
 from stagegrow.checkpoint import save_checkpoint
 from stagegrow.cli import EvalOptions, load_run_config, main
@@ -136,6 +142,16 @@ def test_plan_flops_budget_requires_batch_tokens(capsys, tmp_path):
     assert "batch-tokens" in stderr
 
 
+def test_plan_flops_budget_too_small_is_infeasible(capsys, tmp_path):
+    # In range, but short of one step per stage: exit 3, not 2.
+    status, _, stderr = run_cli(
+        capsys, "plan", "--layers", "12", "--hidden", "1600", "--stages", "2",
+        "--flops-budget", "1", "--batch-tokens", "1000",
+        "--out", str(tmp_path / "p"))
+    assert status == 3
+    assert "cannot fund one step per stage" in stderr
+
+
 def test_plan_token_budget_report(capsys, tmp_path):
     out = tmp_path / "p"
     status, stdout, _ = run_cli(
@@ -156,6 +172,12 @@ def test_plan_token_budget_report(capsys, tmp_path):
     ["--gpu-budget-bytes", "nan"],
     ["--gpu-budget-bytes=-inf"],
     ["--embedding-params=-10000000"],
+    ["--gpu-budget-bytes", "0"],
+    ["--gpu-budget-bytes=-5"],
+    ["--flops-budget=-1", "--batch-tokens", "1000"],
+    ["--flops-budget", "0.5", "--batch-tokens", "1000"],
+    ["--growth-fraction=-1"],
+    ["--batch-tokens", "0"],
 ])
 def test_plan_rejects_out_of_range_flags(capsys, tmp_path, flags):
     out = tmp_path / "p"
@@ -286,6 +308,11 @@ def test_train_missing_corpus_creates_nothing(capsys, tmp_path):
     ({"train": {"betas": [1.0, 0.95]}}, "$.train: betas"),
     ({"train": {"betas": [0.9, -0.1]}}, "$.train: betas"),
     ({"train": {"eps": 0}}, "$.train: eps"),
+    # Found before the run directory exists, not at the first forward.
+    ({"train": {"seq_len": 33}}, "$.train.seq_len"),
+    ({"train": {"min_lr_fraction": 2}}, "$.train: min_lr_fraction"),
+    ({"train": {"min_lr_fraction": -0.1}}, "$.train: min_lr_fraction"),
+    ({"train": {"weight_decay": -0.1}}, "$.train: weight_decay"),
 ])
 def test_train_config_validation(capsys, tmp_path, small_corpus_file,
                                  overrides, fragment):
@@ -673,3 +700,98 @@ def test_ablate_pet_needs_adapters_configured(capsys, tmp_path,
                                 "--out", str(tmp_path / "o"))
     assert status == 2
     assert "adapter_rank" in stderr
+
+
+# ---------------------------------------------------------------------------
+# allocator policy
+# ---------------------------------------------------------------------------
+
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                reason="the allocator policy is glibc's mallopt")
+
+
+def run_python(code, *args, cwd=None):
+    """Run `code` in a fresh interpreter with this checkout's package; its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Allocates forty 1 MiB arrays and frees them all, ten times after a first
+# round; prints the minor page faults of those ten rounds.
+CHURN = """
+import resource, sys
+import numpy as np
+from stagegrow import cli
+if sys.argv[1] == "kept":
+    cli.keep_freed_memory()
+def churn():
+    arrays = [np.ones(1 << 18, np.float32) for _ in range(40)]
+    del arrays
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@glibc_only
+def test_kept_heap_does_not_refault_freed_arrays():
+    default = int(run_python(CHURN, "default"))
+    kept = int(run_python(CHURN, "kept"))
+    assert default >= 10 * 40 * 128  # at least half of each 1 MiB faults again
+    assert kept <= default / 20
+
+
+def test_main_applies_the_allocator_policy_on_every_subcommand(
+        capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "keep_freed_memory", lambda: calls.append(1))
+    missing = str(tmp_path / "missing")
+    for argv in (["plan", "--layers", "4", "--hidden", "48", "--stages", "2",
+                  "--out", str(tmp_path / "p")],
+                 ["train", "--config", missing],
+                 ["eval", "--checkpoint", missing, "--corpus", missing],
+                 ["ablate", "--axis", "pet", "--config", missing]):
+        before = len(calls)
+        run_cli(capsys, *argv)
+        assert len(calls) == before + 1, argv
+
+
+# A two-stage `stagegrow train` whose last line of output lists the minor
+# page faults taken between successive batches.
+TRAIN_FAULTS = """
+import json, resource, sys
+from stagegrow import cli, data
+faults, cycle = [], data.batch_cycle
+def batch_cycle(*args, **kwargs):
+    for batch in cycle(*args, **kwargs):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        yield batch
+data.batch_cycle = batch_cycle
+assert cli.main(["train", "--config", sys.argv[1]]) == 0
+print(json.dumps([b - a for a, b in zip(faults, faults[1:])]))
+"""
+
+
+@glibc_only
+def test_training_steps_take_no_page_faults_after_warm_up(tmp_path,
+                                                          small_corpus_file):
+    # Each stage trains 8 steps.  With glibc's default thresholds the steady
+    # steps fault back hundreds of pages each (a median of about 560 here).
+    cfg_path = write_config(tmp_path, small_corpus_file, tmp_path / "run",
+                            model={"max_seq_len": 64},
+                            train={"total_steps": 16, "growth_fraction": 0.5,
+                                   "batch_size": 8, "seq_len": 64})
+    stdout = run_python(TRAIN_FAULTS, cfg_path, cwd=tmp_path)
+    per_step = json.loads(stdout.splitlines()[-1])
+    # Step i's faults are per_step[i]; the first two of each stage warm up,
+    # and per_step[7] also holds the validation pass and growth.
+    steady = per_step[2:7] + per_step[10:]
+    assert statistics.median(steady) <= 8, per_step
+    assert sum(steady) <= 32 * len(steady), per_step
