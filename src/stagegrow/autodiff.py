@@ -18,7 +18,8 @@ its formula reads:
     silu             its input (the sigmoid is recomputed)
     silu with up     its input and up (the sigmoid and silu are recomputed)
     rms_norm         its input, the per-row 1/rms and the gain
-    softmax          its own output
+    softmax          over an input with a remake: the forward's per-row max
+                     and sum; over any other input: its own output
     cross_entropy    the forward's exp, not the logits
     add (with or without scale), scale, reshape, transpose, rope,
     embedding, sum_all: no input array
@@ -26,18 +27,31 @@ its formula reads:
 Remake, don't keep: an op whose closure already saves every array of its
 output's formula gives the output a remake, a zero-argument callable that
 recomputes it from those arrays in the forward's own operation order, so
-bit-identically.  These are rms_norm and silu (with up, when its closure
-saves up).  A consumer that would save the output saves the remake and
-calls it in backward; the first call caches the array, and the cache dies
-with the last closure that saved it.  No other op has a remake: rope and
-add save nothing (a remake would keep their inputs alive), softmax saves
-its own output, and a matmul's output costs a GEMM to rebuild.
+bit-identically.  These are rms_norm, silu (with up, when its closure
+saves up), a batched matmul (right operand with ndim > 2) whose closure
+saves both operands, and a softmax over an input with a remake, which
+keeps two numbers per row instead of its output.  A consumer that would
+save the output saves the remake and calls it in backward; the first call
+caches the array, and the cache dies with the last closure that saved it.
+No other op has a remake: rope and add save nothing (a remake would keep
+their inputs alive), a product with a 2-D weight is not worth a GEMM in
+backward (only attention's batched product grows with seq squared), and
+a softmax over a leaf or a view saves its own output.
+
+In the model the batched matmul is attention's q kT, and its softmax's
+output is the probabilities: per layer the graph keeps two (batch, head,
+seq) arrays where it kept a (batch, head, seq, seq) one.  Backward remakes
+the probabilities once per layer, for `probs @ v`'s closure and softmax's,
+which share the remake; softmax remakes the scores uncached and turns
+them into the probabilities in place.  That remake is one extra GEMM per
+layer in backward, 2 * seq * hidden_dim FLOPs per token, which a count of
+executed FLOPs must include.
 
 So an output that no closure reads is freed as soon as the forward drops
 its handle: in the model, the adapter path's full-width A-products, the
 raw attention scores, the rope inputs, the residual branches' products,
-and the rms_norm and SwiGLU outputs, which every GEMM that reads them
-reads through a remake.
+and the attention probabilities and the rms_norm and SwiGLU outputs,
+which every op that reads them reads through a remake.
 
 A graph is backpropagated once.  `Tensor.backward` releases it as it
 walks: each node loses its closure and parents before its gradient flows
@@ -64,8 +78,7 @@ keeps numpy's own product, so forward values do not depend on the fold.
 
 `softmax(x, scale, mask)` is attention's whole scale -> mask -> softmax
 chain as one node: it computes softmax(scale * x + mask) in one output
-buffer, in the chain's rounding order.  The graph keeps one (batch, head,
-seq, seq) output where the chain kept three, and values and gradients stay
+buffer, in the chain's rounding order.  Values and gradients stay
 bit-identical to the chain's.
 
 Two more chains are one node each, also bit-identical to the chain they
@@ -314,7 +327,9 @@ def _cached(make):
 
     The cache lives in the returned callable, so it dies with the last
     consumer closure that saved it.  make must reach no tensor or node,
-    only the arrays its op's own closure saves.
+    only the arrays its op's own closure saves, and must return a fresh
+    array on each call: `remake.make` is make itself, for a consumer that
+    overwrites the array it is given.
     """
     cache = []
 
@@ -322,6 +337,7 @@ def _cached(make):
         if not cache:
             cache.append(make())
         return cache[0]
+    remake.make = make
     return remake
 
 
@@ -431,6 +447,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                     a2 = _load(a_saved).reshape(-1, k)
                     nb.accumulate_grad((g2.T @ a2).T if b_fortran else a2.T @ g2)
         else:
+            if na is not None and nb is not None:
+                # The closure keeps both operands, so the output (attention's
+                # scores) is one GEMM away.
+                out._remake = _cached(lambda: _load(a_saved) @ _load(b_saved))
+
             def _back(g):
                 if na is not None:
                     na.accumulate_grad(_unbroadcast(
@@ -523,6 +544,12 @@ def softmax(x: Tensor, scale: float = 1.0, mask=None) -> Tensor:
     the output and is computed in place in the output's gradient:
     (g - sum(g * y)) * y * scale.
 
+    When x has a remake (in the model, attention's scores), the closure
+    keeps the forward's row max and row sum instead of the output, and
+    the output gets a remake: fresh scores, scaled in place, then the
+    forward's own mask, subtract, exp and divide with those two arrays,
+    so it is bit-identical.  Otherwise the closure keeps the output.
+
     With |scale| <= 1 and a mask whose sum of squares is finite (so every
     |mask| <= sqrt(finfo.max), far below half an ulp of finfo.max in
     float32 and float64), finite x cannot overflow scale * x + mask.  Each
@@ -534,16 +561,37 @@ def softmax(x: Tensor, scale: float = 1.0, mask=None) -> Tensor:
     bounded = abs(scale) <= 1.0
     if mask is not None:
         mask = np.asarray(mask, dtype=y.dtype)
-        y += mask
         bounded = bounded and _squares_sum_finite(mask)
-    y -= np.fmax.reduce(y, axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+
+    def normalize(y, stats=None):
+        """softmax of y + mask in place, y holding scale * x; stats replays
+        a forward's (row max, row sum).  Returns the two."""
+        if mask is not None:
+            y += mask
+        row_max = np.fmax.reduce(y, axis=-1, keepdims=True) if stats is None else stats[0]
+        y -= row_max
+        np.exp(y, out=y)
+        row_sum = y.sum(axis=-1, keepdims=True) if stats is None else stats[1]
+        y /= row_sum
+        return row_max, row_sum
+
+    stats = normalize(y)
     out = _node(y, (x,), "softmax", checked=not bounded)
     if out.requires_grad:
         nx = x._node
+        saved = y
+        if x._remake is not None:
+            make_scores = x._remake.make
+
+            def make():
+                y = make_scores()  # not cached: it becomes the output
+                y *= scale
+                normalize(y, stats)
+                return y
+            saved = out._remake = _cached(make)
 
         def _back(g):
+            y = _load(saved)
             # g is the consumed output's own gradient: overwrite it.
             g -= (g * y).sum(axis=-1, keepdims=True)
             g *= y

@@ -73,8 +73,9 @@ def load_corpus(paths: str | Path | Sequence[str | Path],
         raise CorpusError(
             f"validation_fraction {validation_fraction} leaves an empty split "
             f"for {len(ids)} bytes")
-    train = TokenStream(ids[:-n_val].copy(), digest, "train")
-    val = TokenStream(ids[-n_val:].copy(), digest, "validation")
+    # Two views of one read-only array (frombuffer over bytes): no copies.
+    train = TokenStream(ids[:-n_val], digest, "train")
+    val = TokenStream(ids[-n_val:], digest, "validation")
     return train, val
 
 
@@ -95,12 +96,11 @@ def require_windows(stream: TokenStream, seq_len: int, batch_size: int = 1) -> i
 
 
 def _window_matrix(stream: TokenStream, seq_len: int) -> np.ndarray:
-    """(windows, seq_len+1) view of the stream's complete windows."""
+    """(windows, seq_len+1) read-only view of the stream's complete windows."""
     n = require_windows(stream, seq_len)
     flat = stream.ids[:n * seq_len + 1]
     # Window w covers [w*seq_len, w*seq_len + seq_len]; neighbours share one byte.
-    idx = np.arange(n)[:, None] * seq_len + np.arange(seq_len + 1)[None, :]
-    return flat[idx]
+    return np.lib.stride_tricks.sliding_window_view(flat, seq_len + 1)[::seq_len]
 
 
 def batches(stream: TokenStream, seq_len: int, batch_size: int,

@@ -248,8 +248,9 @@ def forward(model: ToyModel, tokens: np.ndarray) -> Tensor:
         q = ad.rope(q, cos, sin)
         k = ad.rope(k, cos, sin)
         # One fused node scales, masks and normalizes the raw scores in a
-        # single (batch, head, seq, seq) buffer: per layer the graph keeps
-        # only the scores and the probabilities at that size.
+        # single (batch, head, seq, seq) buffer.  The graph keeps neither
+        # the scores nor the probabilities: softmax keeps each row's max
+        # and sum, and backward remakes the probabilities from q and k.
         scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
         mixed = ad.matmul(ad.softmax(scores, inv_sqrt_hd, mask), v)
         mixed = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (batch, seq, cfg.hidden_dim))

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError("adapter_reset_interval must be >= 1 or None")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.grad_clip <= 0:  # clip_gradients would skip clipping silently
+            raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
         if not 0.0 <= self.min_lr_fraction <= 1.0:
             raise ValueError(
                 f"min_lr_fraction must be in [0, 1], got {self.min_lr_fraction}")

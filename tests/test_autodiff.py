@@ -261,8 +261,15 @@ def test_fused_silu_takes_a_gradient_for_either_operand_alone():
         assert fused_in[1 - grad_of].grad is None
 
 
+def attention_probs(q: Tensor, k: Tensor, s: float) -> Tensor:
+    """The model's causal softmax(s * q kT + mask) over (batch, head, seq, dim)."""
+    scores = matmul(q, transpose(k, (0, 1, 3, 2)))
+    return softmax(scores, s, causal_mask(q.shape[-2], q.dtype))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("op", ["rms_norm", "silu", "silu_up"])
+@pytest.mark.parametrize("op", ["rms_norm", "silu", "silu_up", "attention",
+                                "attention_scale_2"])
 def test_remake_is_bit_identical_to_the_forward_output(dtype, op):
     rng = np.random.default_rng(6)
     x = Tensor((rng.standard_normal((2, 5, 24)) * 4.0).astype(dtype),
@@ -271,6 +278,11 @@ def test_remake_is_bit_identical_to_the_forward_output(dtype, op):
                    .astype(dtype), requires_grad=True)
     if op == "rms_norm":
         out = rms_norm(x, other)
+    elif op.startswith("attention"):
+        # Scale 2 is above 1, so the forward output is probed.
+        q, k = (Tensor((rng.standard_normal((2, 5, 24, 8)) * 2.0).astype(dtype),
+                       requires_grad=True) for _ in range(2))
+        out = attention_probs(q, k, 2.0 if op == "attention_scale_2" else 0.25)
     else:
         out = silu(x, other if op == "silu_up" else None)
     remade = out._remake()
@@ -280,7 +292,8 @@ def test_remake_is_bit_identical_to_the_forward_output(dtype, op):
     # A consumer's gradient reads the remake, as it read the output before.
     w = Tensor(rng.standard_normal((24, 3)).astype(dtype), requires_grad=True)
     sum_all(matmul(out, w)).backward()
-    expect = out.data.reshape(-1, 24).T @ np.ones((10, 3), dtype=dtype)
+    rows = out.data.size // 24
+    expect = out.data.reshape(-1, 24).T @ np.ones((rows, 3), dtype=dtype)
     assert np.array_equal(w.grad, expect)
 
 
@@ -296,9 +309,48 @@ def test_only_an_output_whose_closure_keeps_its_inputs_has_a_remake():
                 rope(Tensor(x, requires_grad=True), np.cos(x), np.sin(x)),
                 softmax(Tensor(x, requires_grad=True))):
         assert out._remake is None
+    # A batched product is remade only when its closure keeps both operands
+    # (attention's q and k), and a softmax over it then remakes its output;
+    # a product with a 2-D weight never is.
+    q, k = (rng.standard_normal((2, 3, 4, 2)) for _ in range(2))
+    assert attention_probs(Tensor(q, requires_grad=True),
+                           Tensor(k, requires_grad=True), 0.5)._remake is not None
+    assert attention_probs(Tensor(q, requires_grad=True), Tensor(k),
+                           0.5)._remake is None
+    assert matmul(Tensor(q, requires_grad=True),
+                  Tensor(k.swapaxes(-1, -2)))._remake is None
+    assert matmul(Tensor(q, requires_grad=True),
+                  Tensor(k[0, 0].T, requires_grad=True))._remake is None
+    with no_grad():
+        assert attention_probs(Tensor(q, requires_grad=True),
+                               Tensor(k, requires_grad=True), 0.5)._remake is None
     out = rms_norm(Tensor(x, requires_grad=True), Tensor(np.ones(4)))
     out.data = up  # a new array: the remake would rebuild the old one
     assert out._remake is None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_remade_attention_probabilities_give_bit_identical_gradients(dtype):
+    # softmax over q kT keeps two numbers per row and remakes its output in
+    # backward; a reshape between the two (a view, with no remake) makes
+    # softmax keep its output as before.  Every gradient matches.
+    rng = np.random.default_rng(8)
+    shape = (2, 3, 17, 8)
+    arrays = [(rng.standard_normal(shape) * 2.0).astype(dtype) for _ in range(3)]
+    w = Tensor(rng.standard_normal(shape).astype(dtype))
+    grads = []
+    for view in (False, True):
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        scores = matmul(q, transpose(k, (0, 1, 3, 2)))
+        if view:
+            scores = reshape(scores, shape[:-1] + (17,))
+        probs = softmax(scores, 0.25, causal_mask(17, dtype))
+        assert (probs._remake is None) is view
+        sum_all(mul(matmul(probs, v), w)).backward()
+        grads.append([t.grad for t in (q, k, v)])
+    assert grads[0][0].dtype == dtype
+    for kept, remade in zip(*grads):
+        assert np.array_equal(kept, remade)
 
 
 def test_fused_silu_rejects_a_mismatched_up():
@@ -665,11 +717,12 @@ def test_graph_without_backward_is_freed_without_cycle_collector():
 def test_forward_keeps_only_what_backward_reads(monkeypatch):
     # An op output that no backward closure reads dies as soon as the
     # forward drops it: the adapter path's full-width A-product (the scaled
-    # add keeps nothing), the raw attention scores (softmax keeps its own
-    # output) and the w_o product (the residual add keeps nothing).  So do
-    # the rms_norm and SwiGLU outputs: their consumers keep remakes, which
-    # backward rebuilds from what rms_norm and silu keep.  rms_norm keeps
-    # its input.
+    # add keeps nothing), the raw attention scores (softmax keeps two
+    # numbers per row) and the w_o product (the residual add keeps
+    # nothing).  So do the attention probabilities and the rms_norm and
+    # SwiGLU outputs: their consumers keep remakes, which backward rebuilds
+    # from what softmax, the scores' product, rms_norm and silu keep.
+    # rms_norm keeps its input.
     model = staged_model()
     rng = np.random.default_rng(0)
     ids = rng.integers(0, 256, size=(2, 16))
@@ -677,10 +730,10 @@ def test_forward_keeps_only_what_backward_reads(monkeypatch):
     w_o = {id(layer.w_o.data) for layer in model.layers}
     adapter_a = {id(ad.a.data) for layer in model.layers
                  for ad in layer.adapters.values()}
-    refs = {"a_product": [], "scores": [], "w_o": [], "norm_input": [],
-            "norm_output": [], "silu_output": []}
-    orig_matmul, orig_norm, orig_silu = (autodiff.matmul, autodiff.rms_norm,
-                                         autodiff.silu)
+    refs = {"a_product": [], "scores": [], "probs": [], "w_o": [],
+            "norm_input": [], "norm_output": [], "silu_output": []}
+    orig_matmul, orig_norm, orig_silu, orig_softmax = (
+        autodiff.matmul, autodiff.rms_norm, autodiff.silu, autodiff.softmax)
 
     def matmul_(a, b):
         out = orig_matmul(a, b)
@@ -704,7 +757,13 @@ def test_forward_keeps_only_what_backward_reads(monkeypatch):
         refs["silu_output"].append(weakref.ref(out.data))
         return out
 
+    def softmax_(x, scale=1.0, mask=None):
+        out = orig_softmax(x, scale, mask)
+        refs["probs"].append(weakref.ref(out.data))
+        return out
+
     monkeypatch.setattr(autodiff, "matmul", matmul_)
+    monkeypatch.setattr(autodiff, "softmax", softmax_)
     monkeypatch.setattr(autodiff, "rms_norm", rms_norm_)
     monkeypatch.setattr(autodiff, "silu", silu_)
     gc.collect()
@@ -712,9 +771,10 @@ def test_forward_keeps_only_what_backward_reads(monkeypatch):
     try:
         logits = forward(model, ids)
         assert {k: len(v) for k, v in refs.items()} == {
-            "a_product": 7, "scores": 2, "w_o": 2, "norm_input": 5,
+            "a_product": 7, "scores": 2, "probs": 2, "w_o": 2, "norm_input": 5,
             "norm_output": 5, "silu_output": 2}
-        for kind in ("a_product", "scores", "w_o", "norm_output", "silu_output"):
+        for kind in ("a_product", "scores", "probs", "w_o", "norm_output",
+                     "silu_output"):
             assert all(r() is None for r in refs[kind]), kind
         assert all(r() is not None for r in refs["norm_input"])
         cross_entropy(logits, targets).backward()

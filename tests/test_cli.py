@@ -313,6 +313,8 @@ def test_train_missing_corpus_creates_nothing(capsys, tmp_path):
     ({"train": {"min_lr_fraction": 2}}, "$.train: min_lr_fraction"),
     ({"train": {"min_lr_fraction": -0.1}}, "$.train: min_lr_fraction"),
     ({"train": {"weight_decay": -0.1}}, "$.train: weight_decay"),
+    ({"train": {"grad_clip": 0}}, "$.train: grad_clip"),
+    ({"train": {"grad_clip": -1}}, "$.train: grad_clip"),
 ])
 def test_train_config_validation(capsys, tmp_path, small_corpus_file,
                                  overrides, fragment):

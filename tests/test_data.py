@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,29 @@ def test_batches_validation():
         list(batches(stream, 4, 0, seed=0))
     with pytest.raises(CorpusError):
         list(batches(stream, 100, 1, seed=0))
+
+
+def test_corpus_is_viewed_not_copied(tmp_path):
+    # load_corpus holds the read bytes once, and a batch gathers only the
+    # windows it picks from a strided view of the stream: the one
+    # corpus-sized allocation beyond them is the window order (8 B/window).
+    size = 6_000_000
+    rng = np.random.default_rng(2)
+    path = write_corpus(tmp_path, "c.bin",
+                        rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+    tracemalloc.start()
+    try:
+        train, _ = load_corpus(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = tracemalloc.get_traced_memory()[0]
+        inputs, _ = next(batches(train, seq_len=64, batch_size=8, seed=0))
+        batch_peak = tracemalloc.get_traced_memory()[1] - loaded
+    finally:
+        tracemalloc.stop()
+    assert inputs.shape == (8, 64)
+    assert load_peak < 1.2 * size
+    assert batch_peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------
