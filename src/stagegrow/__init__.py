@@ -5,15 +5,15 @@ needed) and a runnable toy stack (numpy autodiff, decoder, trainer) whose
 measured censuses reconcile with the planning formulas.
 """
 
-from .memory import (MemoryEstimate, ModelShape, StageMemory, adapter_params,
-                     embedding_params, gigabytes, layer_params,
+from .memory import (MemoryEstimate, ModelShape, ParamCounts, StageMemory,
+                     adapter_params, embedding_params, gigabytes, layer_params,
                      plan_peak_bytes, stage_state_bytes, vanilla_state_bytes)
 from .planner import (BudgetError, FlopsBudget, PlanInfeasibleError,
                       StagePlan, equal_memory_relaxation, flops_staged,
                       flops_vanilla, solve_exact, solve_rounded, split_steps,
                       stage_flops, stage_param_counts, token_budget)
-from .autodiff import GradCheckReport, NonFiniteError, Tensor, grad_check
-from .model import (ModelConfig, ParamCounts, ToyModel, build_model, forward,
+from .autodiff import NonFiniteError, Tensor
+from .model import (ModelConfig, ToyModel, build_model, forward,
                     named_parameters, param_counts, trainable_parameters)
 from .growth import (GrowthError, GrowthOptions, attach_adapters,
                      freeze_layers, grow, insertion_gaps, merge_adapters,

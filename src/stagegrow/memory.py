@@ -9,7 +9,10 @@ n_i freshly added layers train, while the N_{i-1} previously trained layers
 sit frozen with trainable adapters on top.  A decoder layer with hidden size
 d, LLaMA-style (4 attention d x d matrices, gate/up/down feed-forward at
 width 8d/3, two norm gain vectors) carries P = 12 d^2 + 2 d parameters; a
-rank-r adapter pair on each of its matrices adds E = 19 r d.
+rank-r adapter pair on each of its matrices adds E = 19 r d.  The rule
+returns a `ParamCounts`, the one record of parameters by role, with no
+embeddings; stagegrow.model.param_counts fills the same record from a
+live model.
 
 `state_bytes` is the byte rate, for fp16-style weights with an Adam-style
 optimizer kept in 32-bit:
@@ -126,23 +129,29 @@ def embedding_params(vocab_size: int, hidden_dim: int, tied: bool = False) -> in
     return (table if tied else 2 * table) + hidden_dim
 
 
-class StageParams(NamedTuple):
-    """Non-embedding parameters by role while one stage trains."""
+class ParamCounts(NamedTuple):
+    """Parameters by training role: layers train or sit frozen, while
+    adapters and embeddings always train."""
 
-    new_layer: int
-    frozen: int
+    trainable_layer: int
+    frozen_layer: int
     adapter: int
+    embedding: int = 0
 
     @property
     def trainable(self) -> int:
-        return self.new_layer + self.adapter
+        return self.trainable_layer + self.adapter + self.embedding
+
+    @property
+    def total(self) -> int:
+        return self.trainable + self.frozen_layer
 
 
-def stage_params(prior_layers: int, new_layers: int, shape: ModelShape) -> StageParams:
+def stage_params(prior_layers: int, new_layers: int, shape: ModelShape) -> ParamCounts:
     """The stage rule: new layers train, prior layers freeze under adapters."""
     p = layer_params(shape.hidden_dim)
     e = adapter_params(shape.hidden_dim, shape.adapter_rank)
-    return StageParams(new_layers * p, prior_layers * p, prior_layers * e)
+    return ParamCounts(new_layers * p, prior_layers * p, prior_layers * e)
 
 
 def state_bytes(trainable: int, frozen: int = 0) -> int:
@@ -190,8 +199,8 @@ def stage_state_bytes(plan, stage: int, shape: ModelShape,
         stage=stage,
         new_layers=n_new,
         prior_layers=n_prior,
-        new_layer_state_bytes=state_bytes(params.new_layer),
-        frozen_param_bytes=state_bytes(0, params.frozen),
+        new_layer_state_bytes=state_bytes(params.trainable_layer),
+        frozen_param_bytes=state_bytes(0, params.frozen_layer),
         adapter_state_bytes=state_bytes(params.adapter),
         embedding_state_bytes=state_bytes(embedding_params),
     )

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .memory import ParamCounts
 
 MATRIX_NAMES = ("w_q", "w_k", "w_v", "w_o", "w_gate", "w_up", "w_down")
 LAYER_TENSOR_NAMES = (*MATRIX_NAMES, "g_attn", "g_ffn")
@@ -91,9 +92,6 @@ class Adapter:
     def rank(self) -> int:
         return self.a.data.shape[1]
 
-    def param_count(self) -> int:
-        return self.a.data.size + self.b.data.size
-
 
 @dataclass
 class LayerBlock:
@@ -121,12 +119,6 @@ class LayerBlock:
     def set_frozen(self, frozen: bool) -> None:  # freezing drops the gradients
         for t in self.all_tensors().values():
             t.requires_grad = not frozen
-
-    def param_count(self) -> int:
-        return sum(t.data.size for t in self.all_tensors().values())
-
-    def adapter_param_count(self) -> int:
-        return sum(a.param_count() for a in self.adapters.values())
 
 
 @dataclass
@@ -286,34 +278,16 @@ def trainable_parameters(model: ToyModel) -> list[tuple[str, Tensor]]:
     return [(n, t) for n, t in named_parameters(model) if t.requires_grad]
 
 
-@dataclass(frozen=True)
-class ParamCounts:
-    """Exact parameter census, partitioned by training role."""
-
-    trainable_layer: int
-    frozen_layer: int
-    adapter: int
-    embedding: int
-
-    @property
-    def total(self) -> int:
-        return self.trainable_layer + self.frozen_layer + self.adapter + self.embedding
-
-    @property
-    def trainable(self) -> int:
-        # Adapters and embeddings always train; frozen applies to layers only.
-        return self.trainable_layer + self.adapter + self.embedding
-
-
 def param_counts(model: ToyModel) -> ParamCounts:
+    """The live model's exact census, by the stage rule's roles."""
     trainable_layer = frozen_layer = adapter = 0
     for layer in model.layers:
-        n = layer.param_count()
+        n = sum(t.data.size for t in layer.all_tensors().values())
         if layer.frozen:
             frozen_layer += n
         else:
             trainable_layer += n
-        adapter += layer.adapter_param_count()
+        adapter += sum(f.a.data.size + f.b.data.size for f in layer.adapters.values())
     embedding = model.embed.data.size + model.final_gain.data.size
     if model.unembed is not None:
         embedding += model.unembed.data.size

@@ -48,7 +48,7 @@ class BudgetError(ValueError):
 def _stage_bytes(prior: int, new: int, shape: ModelShape) -> int:
     """Non-embedding state bytes of a stage adding `new` layers on `prior`."""
     params = stage_params(prior, new, shape)
-    return state_bytes(params.trainable, params.frozen)
+    return state_bytes(params.trainable, params.frozen_layer)
 
 
 def _check_targets(layer_target: int, stage_count: int) -> None:
@@ -193,7 +193,7 @@ def stage_param_counts(plan, shape: ModelShape) -> list[tuple[int, int]]:
     """Non-embedding (trainable, frozen) counts of memory.stage_params per stage."""
     plan = StagePlan.of(plan)
     stages = (stage_params(prior, new, shape) for prior, new in plan.stages)
-    return [(s.trainable, s.frozen) for s in stages]
+    return [(s.trainable, s.frozen_layer) for s in stages]
 
 
 def split_steps(total_steps: int, stage_count: int, growth_fraction: float) -> list[int]:

@@ -363,8 +363,6 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                 lr = lr_at(global_step, growth_boundaries, config)
                 inputs, targets = next(batches)
                 trainables = model_lib.trainable_parameters(model)
-                for _, t in trainables:
-                    t.zero_grad()
                 # No handle on the logits: backward reads none of them.
                 loss = ad.cross_entropy(model_lib.forward(model, inputs), targets)
                 loss_value = float(loss.data)
@@ -379,6 +377,8 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                                config.eps, config.weight_decay)
                 else:
                     note("skipped_nonfinite_grads")
+                for _, t in trainables:
+                    t.zero_grad()
 
                 record.steps += 1
                 record.tokens += targets.size

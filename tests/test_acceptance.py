@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import record_line
+from grad_oracle import grad_check
 from plan_oracle import brute_force_plan
 
 from stagegrow.autodiff import (Tensor, add, cross_entropy, embedding, matmul,
                                 mul, reshape, rms_norm, rope, scale, silu,
-                                softmax, sum_all, transpose, grad_check)
+                                softmax, sum_all, transpose)
 from stagegrow.cli import main as cli_main
 from stagegrow.data import EvalOptions, load_corpus
 from stagegrow.growth import (GrowthOptions, adapted_layer_indices,

@@ -4,12 +4,13 @@ import weakref
 
 import numpy as np
 import pytest
+from grad_oracle import grad_check
 
 from stagegrow import autodiff
 from stagegrow.autodiff import (NonFiniteError, Tensor, add, cross_entropy,
-                                embedding, grad_check, matmul, mul, no_grad,
-                                reshape, rms_norm, rope, scale, silu, softmax,
-                                sum_all, transpose)
+                                embedding, matmul, mul, no_grad, reshape,
+                                rms_norm, rope, scale, silu, softmax, sum_all,
+                                transpose)
 from stagegrow.data import EvalOptions, TokenStream, perplexity
 from stagegrow.growth import GrowthOptions, attach_adapters, freeze_layers
 from stagegrow.model import (ModelConfig, build_model, causal_mask, forward,

@@ -126,10 +126,10 @@ def test_stage_rule_and_byte_rate():
     shape = ModelShape(hidden_dim=48, layer_count=7, adapter_rank=4)
     p, e = layer_params(48), adapter_params(48, 4)
     params = stage_params(3, 4, shape)
-    assert params == (4 * p, 3 * p, 3 * e)
+    assert params == (4 * p, 3 * p, 3 * e, 0)
     assert params.trainable == 4 * p + 3 * e
     assert state_bytes(1) == 16 and state_bytes(0, 1) == 2
-    assert (state_bytes(params.trainable, params.frozen)
+    assert (state_bytes(params.trainable, params.frozen_layer)
             == stage_state_bytes((3, 4), 2, shape).total_bytes)
 
 

@@ -76,7 +76,7 @@ def test_build_is_deterministic():
 def test_layer_census_matches_accounting_model(d, heads):
     cfg = ModelConfig(hidden_dim=d, head_count=heads)
     model = build_model(cfg, 1, seed=0)
-    assert model.layers[0].param_count() == layer_params(d)
+    assert param_counts(model).trainable_layer == layer_params(d)
 
 
 def test_param_counts_untied():

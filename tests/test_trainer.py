@@ -13,10 +13,12 @@ from stagegrow.autodiff import NonFiniteError, Tensor
 from stagegrow.checkpoint import load_checkpoint
 from stagegrow.data import EvalOptions, batch_cycle, load_corpus
 from stagegrow.growth import GrowthError, attach_adapters, freeze_layers
-from stagegrow.memory import (ModelShape, embedding_params, stage_state_bytes,
+from stagegrow.memory import (ModelShape, StagePlan, embedding_params,
+                              stage_params, stage_state_bytes,
                               vanilla_state_bytes)
 from stagegrow.model import (ModelConfig, build_model, forward,
-                             named_parameters, trainable_parameters)
+                             named_parameters, param_counts,
+                             trainable_parameters)
 from stagegrow.planner import stage_flops, stage_param_counts
 from stagegrow.trainer import (GrowthOptions, RunLedger, StageRecord,
                                TrainConfig, _RunWriter, adamw_step,
@@ -239,12 +241,14 @@ def test_ledger_reconciles_with_planning_formulas(streams):
     shape = ModelShape(hidden_dim=48, layer_count=4, adapter_rank=4)
     emb = embedding_params(256, 48)
     nonemb = stage_param_counts(plan, shape)
+    stages = StagePlan.of(plan).stages
     for i, rec in enumerate(ledger.stages):
         expect = stage_state_bytes(plan, i + 1, shape, embedding_params=emb)
         assert rec.simulated_bytes == expect.total_bytes
         t_i, f_i = nonemb[i]
         assert rec.trainable_params == t_i + emb
         assert rec.frozen_params == f_i
+        assert rec.adapter_params == stage_params(*stages[i], shape).adapter
         assert rec.tokens == rec.steps * cfg.batch_tokens
         assert rec.flops == stage_flops(t_i + emb, f_i, rec.tokens)
         assert len(rec.loss_curve) == rec.steps
@@ -255,6 +259,8 @@ def test_ledger_reconciles_with_planning_formulas(streams):
     assert ledger.peak_simulated_bytes == max(
         s.simulated_bytes for s in ledger.stages)
     assert len(result.model.layers) == 4
+    final_rule = stage_params(*stages[-1], shape)._replace(embedding=emb)
+    assert param_counts(result.model) == final_rule
     grow_events = [e for e in ledger.stages[1].events if e["event"] == "grow"]
     assert len(grow_events) == 1
     assert grow_events[0]["new_layers"] == [1, 3]  # upper growth interleaves
@@ -298,15 +304,33 @@ def test_frozen_layers_never_move_after_their_stage(streams, tmp_path):
         assert not final.layers[idx].frozen
 
 
-def test_frozen_layers_hold_no_gradient_after_growth(streams):
+def test_frozen_layers_hold_no_gradient_after_growth(streams, monkeypatch):
+    # At each update exactly the trainable tensors hold a gradient; the
+    # step drops them after the update, so none outlives the run.
     train, _ = streams
+    built, held = [], []
+    real_build, real_step = trainer.build_model, trainer.adamw_step
+
+    def build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    def step(params, *args):
+        with_grad = {n for n, t in named_parameters(built[0]) if t.grad is not None}
+        held.append((with_grad, {n for n, _ in params}))
+        real_step(params, *args)
+
+    monkeypatch.setattr(trainer, "build_model", build)
+    monkeypatch.setattr(trainer, "adamw_step", step)
     result = run_schedule(MODEL_CONFIG, (2, 2), train_config(total_steps=8),
                           GrowthOptions(adapter_rank=4), train, None)
     params = named_parameters(result.model)
     frozen = [name for name, t in params if not t.requires_grad]
     assert len(frozen) == 2 * 9
-    for name, t in params:
-        assert (t.grad is None) == (name in frozen), name
+    with_grad, trainable = held[-1]
+    assert with_grad == trainable == {n for n, _ in params} - set(frozen)
+    assert all(with_grad == trainable for with_grad, trainable in held)
+    assert [name for name, t in params if t.grad is not None] == []
 
 
 def test_measured_trade_tracks_the_byte_model(streams):
