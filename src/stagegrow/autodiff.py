@@ -15,8 +15,9 @@ its formula reads:
 
     matmul, mul      per operand that takes a gradient, the other operand,
                      or its remake
-    silu             its input (the sigmoid is recomputed)
-    silu with up     its input and up (the sigmoid and silu are recomputed)
+    silu             its input or its remake (the sigmoid is recomputed)
+    silu with up     its input and up, or their remakes (the sigmoid and
+                     silu are recomputed)
     rms_norm         its input, the per-row 1/rms and the gain
     softmax          over an input with a remake: the forward's per-row max
                      and sum; over any other input: its own output
@@ -30,13 +31,21 @@ recomputes it from those arrays in the forward's own operation order, so
 bit-identically.  These are rms_norm, silu (with up, when its closure
 saves up), a batched matmul (right operand with ndim > 2) whose closure
 saves both operands, and a softmax over an input with a remake, which
-keeps two numbers per row instead of its output.  A consumer that would
-save the output saves the remake and calls it in backward; the first call
-caches the array, and the cache dies with the last closure that saved it.
-No other op has a remake: rope and add save nothing (a remake would keep
-their inputs alive), a product with a 2-D weight is not worth a GEMM in
-backward (only attention's batched product grows with seq squared), and
-a softmax over a leaf or a view saves its own output.
+keeps two numbers per row instead of its output.  Two more ops remake
+from their inputs' remakes.  A matmul with a 2-D weight whose output is
+wider than its input (n > k) is remade as input @ weight when its input
+has a remake or its closure keeps the input: what the remake reads is
+kept anyway, and the output is the widest array it could save.  An add
+whose two inputs both have remakes is remade from them, uncached, in the
+forward's rounding order.  A consumer that would save the output saves
+the remake and calls it in backward; the first call caches the array,
+and the cache dies with the last closure that saved it.  A remake that
+no consumer saves dies with its output.  No other op has a remake: rope
+and an add over a plain input save nothing (a remake would keep their
+inputs alive), an equal-width or narrowing product with a 2-D weight is
+not worth a GEMM in backward (its output is no wider than the input a
+remake would keep), and a softmax over a leaf or a view saves its own
+output.
 
 In the model the batched matmul is attention's q kT, and its softmax's
 output is the probabilities: per layer the graph keeps two (batch, head,
@@ -44,14 +53,23 @@ seq) arrays where it kept a (batch, head, seq, seq) one.  Backward remakes
 the probabilities once per layer, for `probs @ v`'s closure and softmax's,
 which share the remake; softmax remakes the scores uncached and turns
 them into the probabilities in place.  That remake is one extra GEMM per
-layer in backward, 2 * seq * hidden_dim FLOPs per token, which a count of
-executed FLOPs must include.
+layer in backward, 2 * seq * hidden_dim FLOPs per token.
+
+The widening products are SwiGLU's gate and up, over the FFN's rms_norm
+output (an adapted one is the scaled add of two such products, the
+adapter's from its kept rank-r input), so silu saves their remakes and
+forward keeps no (batch, seq, ffn) array.  Backward remakes gate and up
+once per layer, for the w_down product's closure (through silu's remake)
+and silu's, which share the remakes: two extra GEMMs per layer, (32/3) *
+hidden_dim**2 FLOPs per token, plus (32/3) * rank * hidden_dim for an
+adapted layer.  A count of executed FLOPs must include both remakes.
 
 So an output that no closure reads is freed as soon as the forward drops
 its handle: in the model, the adapter path's full-width A-products, the
 raw attention scores, the rope inputs, the residual branches' products,
-and the attention probabilities and the rms_norm and SwiGLU outputs,
-which every op that reads them reads through a remake.
+and the attention probabilities, the rms_norm outputs, the gate and up
+projections and the SwiGLU outputs, which every op that reads them reads
+through a remake.
 
 A graph is backpropagated once.  `Tensor.backward` releases it as it
 walks: each node loses its closure and parents before its gradient flows
@@ -83,9 +101,9 @@ bit-identical to the chain's.
 
 Two more chains are one node each, also bit-identical to the chain they
 replace.  `silu(x, up)` is SwiGLU's mul(silu(x), up): the graph keeps x
-and up, not silu's output or the product.  `add(a, b, scale)` is the
-adapter path's add(a, scale(b, s)): one node, whose b gradient is the
-scaled product.
+and up (or their remakes), not silu's output or the product.
+`add(a, b, scale)` is the adapter path's add(a, scale(b, s)): one node,
+whose b gradient is the scaled product.
 
 Every forward op validates that its output is finite and raises
 NonFiniteError otherwise, so overflow surfaces at the op that produced it
@@ -326,8 +344,9 @@ def _cached(make):
 
     The cache lives in the returned callable, so it dies with the last
     consumer closure that saved it.  make must reach no tensor or node,
-    only the arrays its op's own closure saves, and must return a fresh
-    array on each call: `remake.make` is make itself, for a consumer that
+    only what the graph keeps anyway (the arrays its op's own closure
+    saves, and its inputs' remakes), and must return a fresh array on
+    each call: `remake.make` is make itself, for a consumer that
     overwrites the array it is given.
     """
     cache = []
@@ -375,6 +394,17 @@ def add(a: Tensor, b, scale: float = 1.0) -> Tensor:
     if out.requires_grad:
         na, nb = a._node, b._node
         a_shape, b_shape = a.data.shape, b.data.shape
+        if a._remake is not None and b._remake is not None:
+            # Both inputs are one remake away (an adapted gate or up), so the
+            # sum is too.  The inputs are remade uncached: only the sum stays.
+            make_a, make_b = a._remake.make, b._remake.make
+
+            def make():
+                y, z = make_a(), make_b()
+                if scale != 1.0:
+                    z *= scale
+                return y + z
+            out._remake = _cached(make)
 
         def _back(g):
             ga = None
@@ -436,6 +466,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             # In b's layout: a weight used as transpose(w) then gets a
             # C-ordered gradient, as its optimizer moments.
             b_fortran = b.data.flags.f_contiguous
+            if n > k and (a._remake is not None or a_saved is not None):
+                # A widening product (SwiGLU's gate and up) over an input
+                # that is remade or kept anyway: its output is one GEMM away.
+                a_src, w = _saved(a), b.data
+                out._remake = _cached(lambda: _load(a_src) @ w)
 
             def _back(g):
                 # Fold a's leading dimensions: one 2-D GEMM per gradient.
@@ -477,9 +512,9 @@ def silu(x: Tensor, up=None) -> Tensor:
     `up` (SwiGLU's up projection) must have x's shape and dtype.  The
     product is formed as the chain forms it, (x * sigmoid(x)) * up, so
     values and gradients are bit-identical to the chain's, but the graph
-    keeps only x and up.  Backward recomputes the sigmoid rather than keep
-    an input-sized array from forward to backward, and allocates only it
-    and up's gradient silu(x) * g; x's gradient,
+    keeps only x and up, or their remakes.  Backward recomputes the sigmoid
+    rather than keep an input-sized array from forward to backward, and
+    allocates only it and up's gradient silu(x) * g; x's gradient,
     ((g * up) * sigmoid) * (1 + x * (1 - sigmoid)), is formed in place in
     the consumed output's gradient.  Consumers get a remake of the output
     unless x takes no gradient and up does: only then does the closure
@@ -495,7 +530,7 @@ def silu(x: Tensor, up=None) -> Tensor:
             raise ValueError(f"up {up_data.shape} {up_data.dtype} must match x "
                              f"{x_data.shape} {x_data.dtype}")
 
-    def make():
+    def make(x_data, up_data):
         y = x_data * _sigmoid(x_data)
         if up_data is not None:
             y *= up_data
@@ -503,16 +538,19 @@ def silu(x: Tensor, up=None) -> Tensor:
 
     # |x * sigmoid(x)| <= |x|: finite input, finite output; the product with
     # up is probed, as mul's is.
-    out = _node(make(), parents, "silu", checked=up is not None)
+    out = _node(make(x_data, up_data), parents, "silu", checked=up is not None)
     if out.requires_grad:
         nx = x._node
         nup = None if up is None else up._node
-        # x's gradient reads x and up; up's reads x alone.
-        saved_up = up_data if nx is not None else None
+        # x's gradient reads x and up; up's reads x alone.  Each is saved
+        # as its remake when it has one.
+        saved_x = _saved(x)
+        saved_up = _saved(up) if up is not None and nx is not None else None
         if up is None or saved_up is not None:
-            out._remake = _cached(make)
+            out._remake = _cached(lambda: make(_load(saved_x), _load(saved_up)))
 
         def _back(g):
+            x_data = _load(saved_x)
             sig = _sigmoid(x_data)
             if nup is not None:
                 gu = x_data * sig
@@ -521,7 +559,7 @@ def silu(x: Tensor, up=None) -> Tensor:
             if nx is not None:
                 # g is the consumed output's own gradient: overwrite it.
                 if saved_up is not None:
-                    g *= saved_up
+                    g *= _load(saved_up)
                 g *= sig
                 np.subtract(1.0, sig, out=sig)
                 sig *= x_data

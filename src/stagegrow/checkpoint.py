@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -38,17 +39,21 @@ BLOB_NAME = "params.bin"
 BLOB_DTYPE = "<f4"
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write data to path through a temp file beside it and `os.replace`.
+def write_atomic(path: str | Path, chunks: Iterable) -> None:
+    """Write chunks, buffers in order, to path through a temp file beside it
+    and `os.replace`.
 
-    A reader sees the old file or the new one, never a partial write, and
-    a failed write leaves no temp file.  There is no fsync: this survives
-    a crashed process, not a power cut.
+    The chunks are written as they come, so an iterator of buffers need
+    never be joined.  A reader sees the old file or the new one, never a
+    partial write, and a failed write leaves no temp file.  There is no
+    fsync: this survives a crashed process, not a power cut.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -60,8 +65,8 @@ def write_json(path: str | Path, obj) -> None:
 
     NaN and inf raise ValueError before anything is written.
     """
-    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True,
-                                   allow_nan=False) + "\n").encode())
+    write_atomic(path, [(json.dumps(obj, indent=2, sort_keys=True,
+                                    allow_nan=False) + "\n").encode()])
 
 
 class CheckpointError(ValueError):
@@ -84,39 +89,45 @@ def save_checkpoint(model: ToyModel, directory: str | Path,
     if len(scales) > 1:
         raise CheckpointError(f"adapters disagree on scale: {sorted(scales)}")
 
+    params = named_parameters(model)
     table = []
-    pieces = []
     offset = 0
-    for name, tensor in named_parameters(model):
+    for name, tensor in params:
         if tensor.data.dtype != np.float32:
             raise CheckpointError(f"array {name} is {tensor.data.dtype}; "
                                   "checkpoints hold float32 only")
-        raw = np.ascontiguousarray(tensor.data, dtype=BLOB_DTYPE).tobytes()
         table.append({
             "name": name,
             "shape": list(tensor.data.shape),
             "frozen": not tensor.requires_grad,
             "offset": offset,
         })
-        pieces.append(raw)
-        offset += len(raw)
+        offset += tensor.data.nbytes
     adapter_meta = next(({"rank": a.rank, "scale": a.scale} for layer in model.layers
                          for a in layer.adapters.values()), None)
 
-    blob = b"".join(pieces)
-    manifest = {
+    # The blob streams: each array's own buffer (a copy only if it is not
+    # C-contiguous little-endian) goes to the file and the digest in turn.
+    digest = hashlib.sha256()
+
+    def chunks():
+        for _, tensor in params:
+            raw = np.ascontiguousarray(tensor.data, dtype=BLOB_DTYPE)
+            digest.update(raw)
+            yield raw
+
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    write_atomic(directory / BLOB_NAME, chunks())
+    write_json(directory / MANIFEST_NAME, {
         "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
         "adapter": adapter_meta,
         "extra": extra or {},
         "arrays": table,
-        "blob_bytes": len(blob),
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_atomic(directory / BLOB_NAME, blob)
-    write_json(directory / MANIFEST_NAME, manifest)
+        "blob_bytes": offset,
+        "blob_sha256": digest.hexdigest(),
+    })
     return directory
 
 

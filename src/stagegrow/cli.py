@@ -254,7 +254,7 @@ def _write_csv(path: Path, rows) -> None:
     """Write rows, header first, as CSV by `checkpoint.write_atomic`."""
     text = io.StringIO()
     csv.writer(text).writerows(rows)
-    ckpt.write_atomic(path, text.getvalue().encode())
+    ckpt.write_atomic(path, [text.getvalue().encode()])
 
 
 def _write_plan_reports(out_dir: Path, report: dict,
@@ -270,7 +270,7 @@ def _write_plan_reports(out_dir: Path, report: dict,
            s.new_layer_state_bytes, s.frozen_param_bytes, s.adapter_state_bytes,
            s.embedding_state_bytes] for s in estimate.stages)])
     ckpt.write_atomic(out_dir / "memory.svg",
-                      memory_chart_svg(estimate, vanilla_bytes).encode())
+                      [memory_chart_svg(estimate, vanilla_bytes).encode()])
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,9 @@ def forward(model: ToyModel, tokens: np.ndarray) -> Tensor:
         x = ad.add(x, _linear(mixed, layer, "w_o"))
 
         h = ad.rms_norm(x, layer.g_ffn, NORM_EPS)
-        # One node: the graph keeps the gate and up projections, not silu's output.
+        # One node, which keeps neither the gate and up projections nor its
+        # output: both projections widen h, whose remake backward runs
+        # anyway, so they are remade from it, as the gated product is.
         gated = ad.silu(_linear(h, layer, "w_gate"), _linear(h, layer, "w_up"))
         x = ad.add(x, _linear(gated, layer, "w_down"))
 

@@ -268,9 +268,33 @@ def attention_probs(q: Tensor, k: Tensor, s: float) -> Tensor:
     return softmax(scores, s, causal_mask(q.shape[-2], q.dtype))
 
 
+def swiglu(rng, dtype, view: bool = False):
+    """The model's adapted FFN input side: silu(h Wgᵀ + s (h Bᵀ) Aᵀ, h Wuᵀ).
+
+    h is an rms_norm output; the gate weight is frozen and adapted with a
+    non-zero A, the up weight takes a gradient.  With view, a reshape sits
+    between each projection and silu, so silu saves arrays, not remakes.
+    Returns the output and the leaves that take a gradient.
+    """
+    def param(*shape, grad=True):
+        return Tensor((rng.standard_normal(shape) * 0.5).astype(dtype),
+                      requires_grad=grad)
+
+    x, gain, w_gate = param(2, 5, 9), param(9), param(24, 9, grad=False)
+    w_up, a, b = param(24, 9), param(24, 3), param(3, 9)
+    h = rms_norm(x, gain)
+    gate = add(matmul(h, transpose(w_gate)),
+               matmul(matmul(h, transpose(b)), transpose(a)), 0.3)
+    up = matmul(h, transpose(w_up))
+    if view:
+        gate, up = reshape(gate, gate.shape), reshape(up, up.shape)
+    assert (gate._remake is None) is view and (up._remake is None) is view
+    return silu(gate, up), [x, gain, w_up, a, b]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("op", ["rms_norm", "silu", "silu_up", "attention",
-                                "attention_scale_2"])
+@pytest.mark.parametrize("op", ["rms_norm", "silu", "silu_up", "ffn",
+                                "attention", "attention_scale_2"])
 def test_remake_is_bit_identical_to_the_forward_output(dtype, op):
     rng = np.random.default_rng(6)
     x = Tensor((rng.standard_normal((2, 5, 24)) * 4.0).astype(dtype),
@@ -279,6 +303,10 @@ def test_remake_is_bit_identical_to_the_forward_output(dtype, op):
                    .astype(dtype), requires_grad=True)
     if op == "rms_norm":
         out = rms_norm(x, other)
+    elif op == "ffn":
+        # The gated product's remake remakes the adapted gate and the up
+        # projection from the rms_norm output's remake.
+        out, _ = swiglu(rng, dtype)
     elif op.startswith("attention"):
         # Scale 2 is above 1, so the forward output is probed.
         q, k = (Tensor((rng.standard_normal((2, 5, 24, 8)) * 2.0).astype(dtype),
@@ -311,8 +339,7 @@ def test_only_an_output_whose_closure_keeps_its_inputs_has_a_remake():
                 softmax(Tensor(x, requires_grad=True))):
         assert out._remake is None
     # A batched product is remade only when its closure keeps both operands
-    # (attention's q and k), and a softmax over it then remakes its output;
-    # a product with a 2-D weight never is.
+    # (attention's q and k), and a softmax over it then remakes its output.
     q, k = (rng.standard_normal((2, 3, 4, 2)) for _ in range(2))
     assert attention_probs(Tensor(q, requires_grad=True),
                            Tensor(k, requires_grad=True), 0.5)._remake is not None
@@ -320,8 +347,23 @@ def test_only_an_output_whose_closure_keeps_its_inputs_has_a_remake():
                            0.5)._remake is None
     assert matmul(Tensor(q, requires_grad=True),
                   Tensor(k.swapaxes(-1, -2)))._remake is None
-    assert matmul(Tensor(q, requires_grad=True),
-                  Tensor(k[0, 0].T, requires_grad=True))._remake is None
+    # A product with a 2-D weight is remade only when it widens and its
+    # input is remade (an rms_norm output) or kept by its closure (the
+    # weight takes a gradient); an equal-width or narrowing one never is.
+    h = rms_norm(Tensor(x, requires_grad=True), Tensor(np.ones(4)))
+    for width, weight_grad, remade in ((6, False, True), (4, True, False),
+                                       (2, True, False)):
+        w = Tensor(rng.standard_normal((4, width)), requires_grad=weight_grad)
+        assert (matmul(h, w)._remake is not None) is remade, width
+    wide = rng.standard_normal((4, 6))
+    assert matmul(Tensor(x, requires_grad=True),
+                  Tensor(wide, requires_grad=True))._remake is not None
+    assert matmul(Tensor(x, requires_grad=True), Tensor(wide))._remake is None
+    # An add is remade only when both of its inputs are.
+    gate, up = (matmul(h, Tensor(wide)) for _ in range(2))
+    assert add(gate, up, 0.5)._remake is not None
+    assert add(gate, Tensor(up.data, requires_grad=True))._remake is None
+    assert add(Tensor(up.data, requires_grad=True), gate)._remake is None
     with no_grad():
         assert attention_probs(Tensor(q, requires_grad=True),
                                Tensor(k, requires_grad=True), 0.5)._remake is None
@@ -352,6 +394,25 @@ def test_remade_attention_probabilities_give_bit_identical_gradients(dtype):
     assert grads[0][0].dtype == dtype
     for kept, remade in zip(*grads):
         assert np.array_equal(kept, remade)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_remade_swiglu_projections_give_bit_identical_gradients(dtype):
+    # The gate and up projections over an rms_norm output are remade in
+    # backward; a reshape between them and silu (a view, with no remake)
+    # makes silu keep them as before.  Every gradient matches.
+    grads = []
+    for view in (False, True):
+        rng = np.random.default_rng(9)
+        gated, leaves = swiglu(rng, dtype, view)
+        w_down = Tensor((rng.standard_normal((9, 24)) * 0.5).astype(dtype),
+                        requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 5, 9)).astype(dtype))
+        sum_all(mul(matmul(gated, transpose(w_down)), w)).backward()
+        grads.append([t.grad for t in (*leaves, w_down)])
+    assert grads[0][0].dtype == dtype
+    for remade, kept in zip(*grads):
+        assert np.array_equal(remade, kept)
 
 
 def test_fused_silu_rejects_a_mismatched_up():
@@ -785,11 +846,13 @@ def test_forward_keeps_only_what_backward_reads(monkeypatch):
         assert t.grad is not None and t.grad.shape == t.data.shape, name
 
 
-def test_forward_keeps_two_ffn_width_arrays_per_layer(monkeypatch):
-    # SwiGLU is one node that saves the gate pre-activation and up, not
-    # silu's output; the w_down product (and its adapter) keeps a remake of
-    # the gated product, not the product.  Every other (batch, seq, ffn)
-    # array dies in forward.
+def test_forward_keeps_no_ffn_width_array(monkeypatch):
+    # SwiGLU is one node that saves remakes of the gate pre-activation and
+    # up, not the arrays: each is a widening product over the rms_norm
+    # output, whose remake backward runs anyway (an adapted gate's scaled
+    # add is remade from its two products).  The w_down product (and its
+    # adapter) keeps a remake of the gated product.  So every (batch, seq,
+    # ffn) array dies in forward.
     model = staged_model()
     cfg = model.config
     ids = np.random.default_rng(0).integers(0, 256, size=(2, 16))
@@ -809,7 +872,7 @@ def test_forward_keeps_two_ffn_width_arrays_per_layer(monkeypatch):
     try:
         logits = forward(model, ids)
         alive = sum(r() is not None for r in made)
-        assert alive == 2 * len(model.layers), (alive, len(made))
+        assert alive == 0 and len(made) > 0, (alive, len(made))
         del logits
     finally:
         gc.enable()

@@ -366,3 +366,11 @@ def test_step_peaks_keep_no_norm_or_swiglu_output(d96_step_peaks):
     # kept from forward: about 6.6 MB less per step at this shape, where
     # keeping them peaks at 34.1 MB (staged) and 33.5 MB (vanilla).
     assert max(d96_step_peaks.values()) <= 30e6, d96_step_peaks
+
+
+def test_step_peaks_keep_no_ffn_width_array(d96_step_peaks):
+    # SwiGLU's gate and up projections are remade in backward from the
+    # rms_norm output, not kept from forward: 8 MiB less saved at this
+    # shape, where keeping them peaks at 21.3 MB (staged) and 20.7 MB
+    # (vanilla).
+    assert max(d96_step_peaks.values()) <= 16e6, d96_step_peaks
