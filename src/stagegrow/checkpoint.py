@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from collections.abc import Iterable
 from dataclasses import asdict
@@ -144,46 +145,56 @@ def load_checkpoint(directory: str | Path) -> tuple[ToyModel, dict]:
         raise CheckpointError(f"{directory} is not a checkpoint directory")
     try:
         manifest = json.loads(manifest_path.read_bytes())
-        return _rebuild(manifest, blob_path.read_bytes()), manifest
+        with open(blob_path, "rb") as blob:
+            return _rebuild(manifest, blob), manifest
     except (json.JSONDecodeError, UnicodeDecodeError,
             KeyError, TypeError, AttributeError) as exc:
         raise CheckpointError(f"malformed manifest: {exc!r}") from exc
 
 
-def _rebuild(manifest: dict, blob: bytes) -> ToyModel:
+def _rebuild(manifest: dict, blob) -> ToyModel:
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported format_version {manifest.get('format_version')}")
     if not isinstance(manifest.get("extra", {}), dict):
         raise CheckpointError("malformed manifest: extra is not an object")
-    if len(blob) != manifest["blob_bytes"]:
+    size = os.fstat(blob.fileno()).st_size
+    if size != manifest["blob_bytes"]:
         raise DigestError(
-            f"blob is {len(blob)} bytes, manifest says {manifest['blob_bytes']}")
-    digest = hashlib.sha256(blob).hexdigest()
-    if digest != manifest["blob_sha256"]:
-        raise DigestError("blob sha256 does not match the manifest")
+            f"blob is {size} bytes, manifest says {manifest['blob_bytes']}")
 
     try:
         config = ModelConfig(**manifest["config"])
     except ValueError as exc:
         raise CheckpointError(f"malformed manifest: {exc}") from exc
+    # The arrays lie back to back, in table order.  Each is read into its
+    # own buffer once its extent is known to fit, and hashed as it is read.
+    digest = hashlib.sha256()
     arrays = {}
-    offset = 0  # the arrays lie back to back, in table order
+    offset = 0
     for e in manifest["arrays"]:
         shape = tuple(e["shape"])
-        end = offset + 4 * int(np.prod(shape))
+        if any(type(n) is not int or n < 0 for n in shape):
+            raise CheckpointError(f"malformed manifest: array {e['name']} has "
+                                  f"shape {list(shape)}")
+        end = offset + 4 * math.prod(shape)
         if e["offset"] != offset:
             raise CheckpointError(f"malformed manifest: array {e['name']} at "
                                   f"offset {e['offset']!r}, expected {offset}")
-        if end > len(blob):
+        if end > size:
             raise CheckpointError(f"malformed manifest: array {e['name']} "
                                   "overruns the blob")
-        data = np.frombuffer(blob[offset:end], dtype=BLOB_DTYPE)
-        arrays[e["name"]] = (data.reshape(shape).astype(np.float32), e["frozen"])
+        data = np.empty(shape, dtype=BLOB_DTYPE)
+        if blob.readinto(data) != data.nbytes:
+            raise DigestError("blob ended before its recorded size")
+        digest.update(data)
+        arrays[e["name"]] = (data.astype(np.float32, copy=False), e["frozen"])
         offset = end
-    if offset != len(blob):
+    if offset != size:
         raise CheckpointError(f"malformed manifest: arrays cover {offset} "
-                              f"of the blob's {len(blob)} bytes")
+                              f"of the blob's {size} bytes")
+    if digest.hexdigest() != manifest["blob_sha256"]:
+        raise DigestError("blob sha256 does not match the manifest")
 
     def take(name: str, shape: tuple, can_freeze: bool = False) -> Tensor:
         if name not in arrays:

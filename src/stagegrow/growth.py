@@ -183,7 +183,8 @@ def merge_adapters(model: ToyModel) -> ToyModel:
     """Fold every adapter into its dense weight and drop the factors.
 
     W += scale * A @ B, accumulated in float64 and cast back, so merging an
-    untouched (A = 0) adapter leaves the weights bit-identical.
+    untouched (A = 0) adapter leaves the weights bit-identical.  The factors
+    stop taking a gradient, so their optimizer moments go with their nodes.
     """
     for layer in model.layers:
         for name, adapter in layer.adapters.items():
@@ -191,6 +192,7 @@ def merge_adapters(model: ToyModel) -> ToyModel:
             delta = adapter.scale * (adapter.a.data.astype(np.float64)
                                      @ adapter.b.data.astype(np.float64))
             w.data[...] = (w.data.astype(np.float64) + delta).astype(model.dtype)
+            adapter.a.requires_grad = adapter.b.requires_grad = False
         layer.adapters.clear()
     return model
 

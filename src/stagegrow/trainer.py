@@ -3,11 +3,11 @@
 One run executes a whole stage plan from a model plan.increments[0] layers
 deep.  Stage boundaries fire after a configured fraction of the steps
 remaining at each boundary; at a boundary the loop merges any live
-adapters into their dense weights, grows the model per the plan, freezes
-every previously trained layer, drops those layers' optimizer state,
-attaches fresh adapters to all frozen layers, and linearly rewarms the
-learning rate back to its peak before resuming cosine decay.  Embeddings
-stay trainable throughout and keep their optimizer moments.
+adapters into their dense weights, freezes every layer trained so far
+(its gradients and optimizer moments go with its tensors' graph nodes),
+grows the model per the plan, attaches fresh adapters to all frozen
+layers, and linearly rewarms the learning rate back to its peak before
+resuming cosine decay.  Embeddings stay trainable and keep their moments.
 
 The ledger records, per stage, the exact parameter census, token and FLOPs
 spend (planner.stage_flops), and a simulated device-memory figure
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -94,23 +95,25 @@ class TrainConfig:
 # AdamW
 # ---------------------------------------------------------------------------
 
-def adamw_step(params: list[tuple[str, Tensor]], state: dict, lr: float,
+def adamw_step(params: list[tuple[str, Tensor]], state, lr: float,
                betas: tuple[float, float] = (0.9, 0.95), eps: float = 1e-8,
                weight_decay: float = 0.1) -> None:
     """One decoupled-weight-decay Adam update, in place.
 
-    State is keyed by parameter name.  Decay applies to matrices only
-    (ndim >= 2); norm gains are left undecayed.  Callers must have checked
-    gradients for finiteness; parameters without a gradient are skipped.
+    State is keyed by each tensor's graph node, which lives exactly while
+    the tensor trains: in a weakref.WeakKeyDictionary, freezing or dropping
+    a tensor drops its moments.  Decay applies to matrices only (ndim >= 2);
+    norm gains are left undecayed.  Callers must have checked gradients for
+    finiteness; parameters without a gradient are skipped.
     """
     b1, b2 = betas
-    for name, t in params:
+    for _, t in params:
         g = t.grad
         if g is None:
             continue
-        st = state.get(name)
+        st = state.get(t._node)
         if st is None:
-            st = state[name] = {
+            st = state[t._node] = {
                 "m": np.zeros_like(t.data), "v": np.zeros_like(t.data), "t": 0}
         st["t"] += 1
         # In place, in the order of m = b1*m + (1-b1)*g, v = b2*v +
@@ -319,7 +322,7 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
         train_stream, config.seq_len, config.batch_size, seed=config.seed + 1)
     stage_steps = split_steps(config.total_steps, len(plan),
                               config.growth_fraction)
-    opt_state: dict = {}
+    opt_state = weakref.WeakKeyDictionary()
     global_step = 0
     report = None
 
@@ -333,14 +336,12 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
         for stage_i, n_steps in enumerate(stage_steps, start=1):
             events: list[dict] = []
             if stage_i > 1:
-                # Boundary: merge adapters, grow, freeze old, fresh adapters.
+                # Boundary: merge, freeze (moments go), grow, fresh adapters.
                 merge_adapters(model)
-                opt_state = {k: v for k, v in opt_state.items()
-                             if not k.startswith("layers.")}
+                freeze_layers(model, range(len(model.layers)))
                 fresh = grow(model, plan.increments[stage_i - 1], growth,
                              seed=config.seed + 100 + stage_i)
                 old = [i for i in range(len(model.layers)) if i not in fresh]
-                freeze_layers(model, old)
                 if growth.adapter_rank:
                     attach_adapters(model, old, growth,
                                     seed=config.seed + 200 + stage_i)
@@ -398,8 +399,6 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                         and record.steps % config.adapter_reset_interval == 0):
                     reset_adapters(model, growth,
                                    seed=config.seed + 300 + global_step)
-                    opt_state = {k: v for k, v in opt_state.items()
-                                 if ".adapters." not in k}
                     note("adapter_reset")
 
             if val_stream is not None:

@@ -110,14 +110,19 @@ def test_save_is_deterministic(tmp_path):
         (tmp_path / "b" / MANIFEST_NAME).read_bytes()
 
 
-def test_save_streams_the_blob(tmp_path):
-    # d=96, 8 layers, 4 of them frozen and adapted: 3.98 MB of parameters.
-    # Joining a bytes copy of every array peaked at 8.13 MB; each array's
-    # own buffer goes to the file and the digest instead.
+def make_d96_model():
+    """d=96, 8 layers, 4 of them frozen and adapted: 3.98 MB of parameters."""
     model = build_model(ModelConfig(hidden_dim=96, head_count=6, max_seq_len=64),
                         8, seed=0)
     freeze_layers(model, range(4))
     attach_adapters(model, range(4), GrowthOptions(adapter_rank=8), seed=1)
+    return model
+
+
+def test_save_streams_the_blob(tmp_path):
+    # Joining a bytes copy of every array peaked at 8.13 MB; each array's
+    # own buffer goes to the file and the digest instead.
+    model = make_d96_model()
     save_checkpoint(model, tmp_path / "warm")  # first-call imports and caches
     tracemalloc.start()
     try:
@@ -131,6 +136,24 @@ def test_save_streams_the_blob(tmp_path):
                             for _, t in named_parameters(model))
     manifest = json.loads((tmp_path / "ck" / MANIFEST_NAME).read_text())
     assert manifest["blob_sha256"] == hashlib.sha256(blob).hexdigest()
+
+
+def test_load_streams_the_blob(tmp_path):
+    # Reading the whole blob, then copying each array out of it, peaked at
+    # 8.10 MB (2.04x); each array is read into its own buffer and hashed
+    # as it is read instead.
+    model = make_d96_model()
+    save_checkpoint(model, tmp_path / "ck")
+    load_checkpoint(tmp_path / "ck")  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    param_bytes = sum(t.data.nbytes for _, t in named_parameters(model))
+    assert peak <= 1.1 * param_bytes, (peak, param_bytes)
+    assert_models_equal(model, loaded)
 
 
 def test_corrupted_blob_detected(tmp_path):
@@ -148,6 +171,17 @@ def test_truncated_blob_detected(tmp_path):
     blob_path = tmp_path / "ck" / BLOB_NAME
     blob_path.write_bytes(blob_path.read_bytes()[:-8])
     with pytest.raises(DigestError):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_blob_that_shrinks_while_it_is_read_is_detected(tmp_path, monkeypatch):
+    # The size check passes on the size recorded before the blob shrank.
+    save_checkpoint(make_model(), tmp_path / "ck")
+    blob_path = tmp_path / "ck" / BLOB_NAME
+    stat = blob_path.stat()
+    blob_path.write_bytes(blob_path.read_bytes()[:-8])
+    monkeypatch.setattr(checkpoint.os, "fstat", lambda fd: stat)
+    with pytest.raises(DigestError, match="ended before"):
         load_checkpoint(tmp_path / "ck")
 
 
@@ -226,6 +260,9 @@ def edit_arrays(manifest, edits):
         "layers.0.w_k": {"offset": offset_of(m, "layers.0.w_q")}}),
     lambda m: edit_arrays(m, {"layers.1.g_ffn": {"shape": [24]}}),
     lambda m: edit_arrays(m, {"layers.1.g_ffn": {"shape": [96]}}),
+    # Shapes are checked before anything of their size is allocated.
+    lambda m: edit_arrays(m, {"layers.1.g_ffn": {"shape": [2**20, 2**20]}}),
+    lambda m: edit_arrays(m, {"layers.1.g_ffn": {"shape": [-48, -1]}}),
     # Each array's shape must be the one its config gives it.
     lambda m: {**m, "config": {**m["config"], "head_count": 5}},
     lambda m: {**m, "config": {**m["config"], "hidden_dim": 96}},
@@ -233,6 +270,7 @@ def edit_arrays(manifest, edits):
     lambda m: edit_arrays(m, {"layers.0.g_attn": {"shape": [1, 48]}}),
 ], ids=["no_blob_bytes", "no_arrays", "unknown_config_key", "list", "extra_list",
         "shared_offset", "swapped_offsets", "blob_not_covered", "blob_overrun",
+        "shape_oversized", "shape_negative",
         "config_rejected", "config_wider_than_arrays", "matrix_reshaped",
         "gain_reshaped"])
 def test_malformed_manifest(tmp_path, edit):

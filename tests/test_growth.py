@@ -261,8 +261,10 @@ def test_merge_matches_dense_oracle():
                                  @ adapter.b.data.astype(np.float64))
         dense[name] = (w.astype(np.float64) + delta).astype(np.float32)
 
+    factors = [t for a in layer.adapters.values() for t in (a.a, a.b)]
     merge_adapters(model)
     assert not layer.adapters
+    assert not any(t.requires_grad for t in factors)  # their nodes are gone
     for name in MATRIX_NAMES:
         assert np.array_equal(getattr(layer, name).data, dense[name]), name
     # Folding a float32 product into float32 weights rounds once, so the

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -67,10 +68,10 @@ def test_adamw_matches_hand_recurrence():
             v_hat = v / (1.0 - b2 ** k)
             w = w - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * w)
             assert np.array_equal(t.data, w), (dtype, transposed, k)
-            assert np.array_equal(state["w"]["m"], m), (dtype, transposed, k)
-            assert np.array_equal(state["w"]["v"], v), (dtype, transposed, k)
+            assert np.array_equal(state[t._node]["m"], m), (dtype, transposed, k)
+            assert np.array_equal(state[t._node]["v"], v), (dtype, transposed, k)
         assert t.data.dtype == dtype
-        assert state["w"]["t"] == 3
+        assert state[t._node]["t"] == 3
 
 
 def test_adamw_decay_applies_to_matrices_only():
@@ -333,6 +334,67 @@ def test_frozen_layers_hold_no_gradient_after_growth(streams, monkeypatch):
     assert [name for name, t in params if t.grad is not None] == []
 
 
+def test_moments_live_exactly_while_their_tensors_train(streams, monkeypatch):
+    # AdamW keys each tensor's moments by its graph node.  At every update
+    # the state holds exactly the trainables; a tensor that kept training
+    # keeps its moment arrays and step count, a new one starts at step 1;
+    # a frozen layer's or a merged adapter's moments are gone before the
+    # next forward pass, and a frozen layer's before growth allocates.
+    train, _ = streams
+    real_step, real_grow = trainer.adamw_step, trainer.grow
+    real_forward = trainer.model_lib.forward
+    last = {}  # id(tensor) -> (tensor ref, m ref, step count) at the last update
+    seen = {"continued": 0, "fresh": 0, "frozen": 0, "merged": 0}
+
+    def step(params, state, *args):
+        real_step(params, state, *args)
+        assert {id(node) for node in state} == {id(t._node) for _, t in params}
+        for _, t in params:
+            st = state[t._node]
+            prev = last.get(id(t))
+            if prev is not None and prev[0]() is t:
+                assert prev[1]() is st["m"] and st["t"] == prev[2] + 1
+                seen["continued"] += 1
+            else:
+                assert st["t"] == 1
+                seen["fresh"] += 1
+        last.clear()
+        last.update({id(t): (weakref.ref(t), weakref.ref(state[t._node]["m"]),
+                             state[t._node]["t"]) for _, t in params})
+
+    def dropped(model):  # moments of tensors the model no longer trains
+        live = {id(t) for _, t in trainable_parameters(model)}
+        for key, (t_ref, m_ref, _) in last.items():
+            t = t_ref()
+            if t is None or key not in live:
+                assert m_ref() is None
+                yield "frozen" if t is not None and not t.requires_grad else "merged"
+
+    def forward(model, *args):
+        for kind in dropped(model):
+            seen[kind] += 1
+        return real_forward(model, *args)
+
+    def grow(model, *args, **kwargs):
+        assert len(list(dropped(model))) == 18
+        return real_grow(model, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "adamw_step", step)
+    monkeypatch.setattr(trainer, "grow", grow)
+    monkeypatch.setattr(trainer.model_lib, "forward", forward)
+    cfg = train_config(total_steps=16, adapter_reset_interval=2)
+    run_schedule(MODEL_CONFIG, (2, 2), cfg, GrowthOptions(adapter_rank=4),
+                 train, None)
+    # Growth freezes 2 layers of 9 tensors; the reset before stage 2's
+    # third step merges 2 layers x 7 matrices x 2 factors.  Fresh: stage 1's
+    # 21 tensors, then 2 new layers and 28 adapter factors, then 28 more.
+    # Continued: stage 1's last 11 steps; then the 3 embedding-side tensors
+    # across growth, and 3 + 18 (+ 28 unless just reset) per stage-2 step.
+    assert seen["frozen"] == 18 and seen["merged"] == 28
+    assert seen["fresh"] == 21 + 18 + 28 + 28
+    assert seen["continued"] == 11 * 21 + 3 + 49 + 21 + 49
+
+
 def test_measured_trade_tracks_the_byte_model(streams):
     # At a shape where parameters and optimizer state, not activations, set
     # the peak, the staged run's whole-run tracemalloc peak (build, growth
@@ -513,7 +575,7 @@ def test_boundary_moves_go_through_trainer_attributes(streams, monkeypatch):
     train, _ = streams
     result = run_schedule(MODEL_CONFIG, (2, 2), train_config(total_steps=4),
                           GrowthOptions(adapter_rank=4), train, None)
-    assert calls == ["merge_adapters", "grow", "freeze_layers", "attach_adapters"]
+    assert calls == ["merge_adapters", "freeze_layers", "grow", "attach_adapters"]
     grown = result.ledger.stages[1].events[0]
     assert (grown["new_layers"], grown["frozen_layers"]) == ([1, 3], [0, 2])
 
