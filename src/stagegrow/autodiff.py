@@ -177,8 +177,8 @@ class Tensor:
 
     requires_grad means "has a `_Node`"; clearing it drops the node and its
     gradient, so a tensor that takes no gradient never holds one.  A leaf's
-    node keeps .grad across backward.  .grad, ._parents and ._backward read
-    and write the node.
+    node keeps .grad across backward.  .grad and ._backward read and write
+    the node.
     """
 
     __slots__ = ("_data", "_node", "_remake", "__weakref__")
@@ -220,10 +220,6 @@ class Tensor:
             self._node.grad = value
         elif value is not None:
             raise ValueError("a tensor that does not require grad holds no gradient")
-
-    @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node._parents
 
     @property
     def _backward(self):

@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from collections.abc import Iterable
 from dataclasses import asdict
 from pathlib import Path
@@ -82,13 +83,16 @@ def save_checkpoint(model: ToyModel, directory: str | Path,
                     extra: dict | None = None) -> Path:
     """Write manifest.json and params.bin into `directory`; returns it.
 
-    The blob holds float32 and the manifest one adapter scale for the whole
-    model, so an array of another dtype, or adapters that disagree on
-    scale, are a CheckpointError, raised before any write.
+    The blob holds float32 and the manifest one adapter rank and scale for
+    the whole model, so an array of another dtype, or adapters that
+    disagree on rank or scale, are a CheckpointError, raised before any
+    write.
     """
-    scales = {a.scale for layer in model.layers for a in layer.adapters.values()}
-    if len(scales) > 1:
-        raise CheckpointError(f"adapters disagree on scale: {sorted(scales)}")
+    adapters = [a for layer in model.layers for a in layer.adapters.values()]
+    for key in ("rank", "scale"):
+        values = {getattr(a, key) for a in adapters}
+        if len(values) > 1:
+            raise CheckpointError(f"adapters disagree on {key}: {sorted(values)}")
 
     params = named_parameters(model)
     table = []
@@ -104,8 +108,8 @@ def save_checkpoint(model: ToyModel, directory: str | Path,
             "offset": offset,
         })
         offset += tensor.data.nbytes
-    adapter_meta = next(({"rank": a.rank, "scale": a.scale} for layer in model.layers
-                         for a in layer.adapters.values()), None)
+    adapter_meta = ({"rank": adapters[0].rank, "scale": adapters[0].scale}
+                    if adapters else None)
 
     # The blob streams: each array's own buffer (a copy only if it is not
     # C-contiguous little-endian) goes to the file and the digest in turn.
@@ -158,6 +162,13 @@ def _rebuild(manifest: dict, blob) -> ToyModel:
             f"unsupported format_version {manifest.get('format_version')}")
     if not isinstance(manifest.get("extra", {}), dict):
         raise CheckpointError("malformed manifest: extra is not an object")
+    adapter_meta = manifest.get("adapter")
+    if adapter_meta is not None:  # the one rank and scale of every adapter
+        rank, scale = adapter_meta["rank"], adapter_meta["scale"]
+        if type(rank) is not int or rank < 1:
+            raise CheckpointError(f"malformed manifest: adapter rank {rank!r}")
+        if type(scale) not in (int, float) or not abs(scale) <= sys.float_info.max:
+            raise CheckpointError(f"malformed manifest: adapter scale {scale!r}")
     size = os.fstat(blob.fileno()).st_size
     if size != manifest["blob_bytes"]:
         raise DigestError(
@@ -212,7 +223,6 @@ def _rebuild(manifest: dict, blob) -> ToyModel:
     unembed = None if config.tied_embeddings else take("unembed", table)
     final_gain = take("final_gain", (config.hidden_dim,))
 
-    adapter_meta = manifest.get("adapter")
     shapes = config.layer_shapes
     layers = []
     # Depth is the count of layers.{i}.* blocks; a gap leaves unexpected arrays.
@@ -228,12 +238,11 @@ def _rebuild(manifest: dict, blob) -> ToyModel:
             if a_name in arrays:
                 if adapter_meta is None:
                     raise CheckpointError("adapter arrays without adapter metadata")
-                rank = adapter_meta["rank"]
                 out_dim, in_dim = shapes[m_name]
                 layer.adapters[m_name] = Adapter(
                     a=take(a_name, (out_dim, rank)),
                     b=take(f"{prefix}adapters.{m_name}.b", (rank, in_dim)),
-                    scale=adapter_meta["scale"])
+                    scale=scale)
         layers.append(layer)
     if arrays:
         raise CheckpointError(f"unexpected arrays in manifest: {sorted(arrays)}")

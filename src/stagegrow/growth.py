@@ -30,6 +30,7 @@ fresh factors.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,11 @@ class GrowthOptions:
             raise GrowthError(f"init must be one of {INITS}, got {self.init!r}")
         if self.adapter_rank < 0:
             raise GrowthError(f"adapter_rank must be >= 0, got {self.adapter_rank}")
+        scale = self.adapter_scale  # so that every checkpoint reloads it
+        if scale is not None and (isinstance(scale, bool)
+                                  or not isinstance(scale, (int, float))
+                                  or not abs(scale) <= sys.float_info.max):
+            raise GrowthError(f"adapter_scale must be a finite number, got {scale!r}")
 
 
 def insertion_gaps(old_count: int, new_count: int, position: str,

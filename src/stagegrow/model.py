@@ -276,8 +276,8 @@ def named_parameters(model: ToyModel) -> list[tuple[str, Tensor]]:
     return out
 
 
-def trainable_parameters(model: ToyModel) -> list[tuple[str, Tensor]]:
-    return [(n, t) for n, t in named_parameters(model) if t.requires_grad]
+def trainable_parameters(model: ToyModel) -> list[Tensor]:
+    return [t for _, t in named_parameters(model) if t.requires_grad]
 
 
 def param_counts(model: ToyModel) -> ParamCounts:

@@ -21,15 +21,14 @@ profile n_{i+1} = q n_i with ratio q = (14 P - 16 E) / 16 P and
     n_1 = L (1 - q) / (1 - q^K).
 
 Also here: the FLOP rate, stage_flops, through which every FLOP figure
-goes (the trainer's ledger, token_budget, flops_vanilla).  A full
-forward+backward pass costs about 6 FLOPs per parameter per token; a frozen
-parameter skips the backward weight work and costs about 2.
+goes (the trainer's ledger, token_budget).  A full forward+backward pass
+costs about 6 FLOPs per parameter per token; a frozen parameter skips the
+backward weight work and costs about 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .memory import ModelShape, StagePlan, stage_params, state_bytes
 
@@ -171,22 +170,12 @@ def solve_rounded(layer_target: int, stage_count: int, shape: ModelShape) -> Sta
 # Training-compute estimates
 # ---------------------------------------------------------------------------
 
-def flops_vanilla(params: int, tokens: int) -> int:
-    """Classic full-training estimate: 6 * params * tokens."""
-    return stage_flops(params, 0, tokens)
-
-
 def stage_flops(trainable_params: int, frozen_params: int, tokens: int) -> int:
     """One stage: trainable params cost 6/token, frozen params 2/token."""
     if min(trainable_params, frozen_params, tokens) < 0:
         raise ValueError("parameter and token counts must be non-negative")
     return (FLOPS_PER_TRAINABLE_PARAM_TOKEN * trainable_params
             + FLOPS_PER_FROZEN_PARAM_TOKEN * frozen_params) * tokens
-
-
-def flops_staged(stages: Iterable[tuple[int, int, int]]) -> int:
-    """Sum stage_flops over (trainable, frozen, tokens) triples."""
-    return sum(stage_flops(t, f, tok) for t, f, tok in stages)
 
 
 def stage_param_counts(plan, shape: ModelShape) -> list[tuple[int, int]]:

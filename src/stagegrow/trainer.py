@@ -86,19 +86,14 @@ class TrainConfig:
             raise ValueError(
                 f"min_lr_fraction must be in [0, 1], got {self.min_lr_fraction}")
 
-    @property
-    def batch_tokens(self) -> int:
-        return self.batch_size * self.seq_len
-
 
 # ---------------------------------------------------------------------------
 # AdamW
 # ---------------------------------------------------------------------------
 
-def adamw_step(params: list[tuple[str, Tensor]], state, lr: float,
-               betas: tuple[float, float] = (0.9, 0.95), eps: float = 1e-8,
-               weight_decay: float = 0.1) -> None:
-    """One decoupled-weight-decay Adam update, in place.
+def adamw_step(params: list[Tensor], state, lr: float,
+               config: TrainConfig) -> None:
+    """One in-place AdamW update with config's betas, eps and weight_decay.
 
     State is keyed by each tensor's graph node, which lives exactly while
     the tensor trains: in a weakref.WeakKeyDictionary, freezing or dropping
@@ -106,8 +101,8 @@ def adamw_step(params: list[tuple[str, Tensor]], state, lr: float,
     norm gains are left undecayed.  Callers must have checked gradients for
     finiteness; parameters without a gradient are skipped.
     """
-    b1, b2 = betas
-    for _, t in params:
+    b1, b2 = config.betas
+    for t in params:
         g = t.grad
         if g is None:
             continue
@@ -129,28 +124,28 @@ def adamw_step(params: list[tuple[str, Tensor]], state, lr: float,
         update = m / (1.0 - b1 ** st["t"])
         denom = v / (1.0 - b2 ** st["t"])
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += config.eps
         update /= denom
-        if weight_decay and t.data.ndim >= 2:
-            update += weight_decay * t.data
+        if config.weight_decay and t.data.ndim >= 2:
+            update += config.weight_decay * t.data
         update *= lr
         t.data -= update.astype(t.data.dtype, copy=False)
 
 
-def global_grad_norm(params: list[tuple[str, Tensor]]) -> float:
+def global_grad_norm(params: list[Tensor]) -> float:
     total = 0.0
-    for _, t in params:
+    for t in params:
         if t.grad is not None:
             total += float(np.sum(np.square(t.grad, dtype=np.float64)))
     return math.sqrt(total)
 
 
-def clip_gradients(params: list[tuple[str, Tensor]], max_norm: float) -> float:
+def clip_gradients(params: list[Tensor], max_norm: float) -> float:
     """Scale all gradients so their global norm is at most max_norm; returns the pre-clip norm."""
     norm = global_grad_norm(params)
     if math.isfinite(norm) and norm > max_norm > 0:
         factor = max_norm / norm
-        for _, t in params:
+        for t in params:
             if t.grad is not None:
                 t.grad *= factor
     return norm
@@ -247,12 +242,6 @@ class RunLedger:
             "total_tokens": self.total_tokens,
             "total_flops": self.total_flops,
         }
-
-
-def simulated_bytes(model: ToyModel) -> int:
-    """memory.state_bytes of the live census."""
-    counts = param_counts(model)
-    return state_bytes(counts.trainable, counts.frozen_layer)
 
 
 @dataclass
@@ -355,7 +344,8 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                 trainable_params=counts.trainable,
                 frozen_params=counts.frozen_layer,
                 adapter_params=counts.adapter,
-                simulated_bytes=simulated_bytes(model),
+                simulated_bytes=state_bytes(counts.trainable,
+                                            counts.frozen_layer),
                 events=events)
             ledger.stages.append(record)
 
@@ -374,11 +364,10 @@ def run_schedule(model_config: ModelConfig, plan: StagePlan, config: TrainConfig
                 norm = clip_gradients(trainables, config.grad_clip)
                 norm_finite = math.isfinite(norm)
                 if norm_finite:
-                    adamw_step(trainables, opt_state, lr, config.betas,
-                               config.eps, config.weight_decay)
+                    adamw_step(trainables, opt_state, lr, config)
                 else:
                     note("skipped_nonfinite_grads")
-                for _, t in trainables:
+                for t in trainables:
                     t.zero_grad()
 
                 record.steps += 1

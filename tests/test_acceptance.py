@@ -29,9 +29,8 @@ from stagegrow.memory import (ModelShape, embedding_params, layer_params,
                               vanilla_state_bytes)
 from stagegrow.model import (ModelConfig, build_model, forward,
                              named_parameters, param_counts)
-from stagegrow.planner import (StagePlan, flops_staged, flops_vanilla,
-                               solve_exact, split_steps, stage_param_counts,
-                               token_budget)
+from stagegrow.planner import (StagePlan, solve_exact, split_steps,
+                               stage_flops, stage_param_counts, token_budget)
 from stagegrow.trainer import GrowthOptions, TrainConfig, run_schedule
 
 
@@ -174,7 +173,7 @@ def test_flops_and_token_budgets():
     ]
     with criterion(5, "flops and token budgets") as info:
         for params, tokens, ref in vanilla_rows:
-            got = flops_vanilla(params, tokens)
+            got = stage_flops(params, 0, tokens)
             assert abs(got - ref) / ref < 0.05, (params, got, ref)
 
         b368 = token_budget(StagePlan((7, 5)),
@@ -438,7 +437,7 @@ def test_ledger_reconciliation(small_corpus_file):
                 assert record.tokens == steps[i] * tokens_per_step
             triples = [(t + emb, f, s * tokens_per_step)
                        for (t, f), s in zip(counts, steps)]
-            assert ledger.total_flops == flops_staged(triples)
+            assert ledger.total_flops == sum(stage_flops(*t) for t in triples)
         info["detail"] = "plans (4,4) and (3,3,2) at d=96 r=8, exact"
 
 
@@ -459,8 +458,8 @@ def test_staged_vs_vanilla_desk_run(text_corpus_file):
         counts = stage_param_counts(plan, shape)
         stage_steps = split_steps(STEPS, 2, 0.75)
         tokens_per_step = BATCH * SEQ
-        budget = flops_staged([(t + emb, f, s * tokens_per_step)
-                               for (t, f), s in zip(counts, stage_steps)])
+        budget = sum(stage_flops(t + emb, f, s * tokens_per_step)
+                     for (t, f), s in zip(counts, stage_steps))
         vanilla_step_flops = 6 * (8 * layer_params(96) + emb) * tokens_per_step
         vanilla_steps = round(budget / vanilla_step_flops)
 

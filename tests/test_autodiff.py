@@ -14,7 +14,7 @@ from stagegrow.autodiff import (NonFiniteError, Tensor, add, cross_entropy,
 from stagegrow.data import EvalOptions, TokenStream, perplexity
 from stagegrow.growth import GrowthOptions, attach_adapters, freeze_layers
 from stagegrow.model import (ModelConfig, build_model, causal_mask, forward,
-                             named_parameters, trainable_parameters)
+                             named_parameters)
 
 
 def leaf(rng, *shape):
@@ -676,14 +676,14 @@ def test_no_grad_tracking_without_requires_grad():
     x = Tensor(np.ones((2, 2)))
     y = mul(x, x)
     assert not y.requires_grad
-    assert y._parents == ()
+    assert y._node is None  # so no parents
     assert y._backward is None
 
 
 def test_a_tensor_without_requires_grad_holds_no_gradient():
     rng = np.random.default_rng(8)
     x, w = leaf(rng, 3, 4), leaf(rng, 4, 5)
-    assert w._parents == () and w._backward is None  # a leaf's node
+    assert w._node._parents == () and w._backward is None  # a leaf's node
     sum_all(matmul(x, w)).backward()
     assert w.grad is not None
     w.requires_grad = False
@@ -750,7 +750,7 @@ def test_backward_frees_graph_without_cycle_collector():
         assert alive() is None
     finally:
         gc.enable()
-    trainables = trainable_parameters(model)
+    trainables = [(n, t) for n, t in named_parameters(model) if t.requires_grad]
     assert any(".adapters." in name for name, _ in trainables)
     for name, t in trainables:
         assert t.grad is not None and t.grad.shape == t.data.shape, name
@@ -842,7 +842,9 @@ def test_forward_keeps_only_what_backward_reads(monkeypatch):
         cross_entropy(logits, targets).backward()
     finally:
         gc.enable()
-    for name, t in trainable_parameters(model):
+    for name, t in named_parameters(model):
+        if not t.requires_grad:
+            continue
         assert t.grad is not None and t.grad.shape == t.data.shape, name
 
 
@@ -929,7 +931,7 @@ def test_no_grad_records_nothing():
                 rope(x, np.cos(theta), np.sin(theta)), sum_all(x)]
     for out in outs:
         assert not out.requires_grad
-        assert out._parents == ()
+        assert out._node is None  # so no parents
         assert out._backward is None
     assert mul(x, x).requires_grad
 

@@ -268,13 +268,28 @@ def edit_arrays(manifest, edits):
     lambda m: {**m, "config": {**m["config"], "hidden_dim": 96}},
     lambda m: edit_arrays(m, {"layers.0.w_q": {"shape": [24, 96]}}),
     lambda m: edit_arrays(m, {"layers.0.g_attn": {"shape": [1, 48]}}),
+    # The adapter record: a positive int rank, a finite scale, no bools.
+    lambda m: {**m, "adapter": {**m["adapter"], "scale": None}},
+    lambda m: {**m, "adapter": {**m["adapter"], "scale": float("nan")}},
+    lambda m: {**m, "adapter": {**m["adapter"], "scale": float("inf")}},
+    lambda m: {**m, "adapter": {**m["adapter"], "scale": 10**400}},
+    lambda m: {**m, "adapter": {**m["adapter"], "scale": True}},
+    lambda m: {**m, "adapter": {**m["adapter"], "scale": "big"}},
+    lambda m: {**m, "adapter": {**m["adapter"], "rank": 0}},
+    lambda m: {**m, "adapter": {**m["adapter"], "rank": True}},
+    lambda m: {**m, "adapter": {**m["adapter"], "rank": 4.0}},
+    lambda m: {**m, "adapter": {**m["adapter"], "rank": "4"}},
+    lambda m: {**m, "adapter": [4, 0.25]},
 ], ids=["no_blob_bytes", "no_arrays", "unknown_config_key", "list", "extra_list",
         "shared_offset", "swapped_offsets", "blob_not_covered", "blob_overrun",
         "shape_oversized", "shape_negative",
         "config_rejected", "config_wider_than_arrays", "matrix_reshaped",
-        "gain_reshaped"])
+        "gain_reshaped",
+        "scale_null", "scale_nan", "scale_inf", "scale_overflows", "scale_bool",
+        "scale_string", "rank_zero", "rank_bool", "rank_float", "rank_string",
+        "adapter_list"])
 def test_malformed_manifest(tmp_path, edit):
-    save_checkpoint(make_model(), tmp_path / "ck")
+    save_checkpoint(make_staged_model(), tmp_path / "ck")
     path = tmp_path / "ck" / MANIFEST_NAME
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(CheckpointError, match="malformed manifest"):
@@ -395,17 +410,20 @@ def test_write_json_is_strict_and_leaves_the_old_file_on_failure(tmp_path, monke
 
 
 def test_save_rejects_adapters_that_disagree_on_scale(tmp_path):
-    # The manifest holds one scale for all adapters; writing it would
-    # reload every adapter at the first one's scale.
-    model = make_model()
-    freeze_layers(model, [0, 1])
-    attach_adapters(model, [0], GrowthOptions(adapter_rank=4, adapter_scale=2.0),
-                    seed=1)
-    attach_adapters(model, [1], GrowthOptions(adapter_rank=4, adapter_scale=0.5),
-                    seed=2)
-    with pytest.raises(CheckpointError, match="scale"):
-        save_checkpoint(model, tmp_path / "ck")
-    assert not (tmp_path / "ck").exists()
+    # The manifest holds one rank and one scale for all adapters; writing
+    # it would reload every adapter at the first one's scale, and refuse
+    # every adapter of another rank.
+    for (rank_0, scale_0), (rank_1, scale_1), key in [
+            ((4, 2.0), (4, 0.5), "scale"), ((2, 0.5), (4, 0.5), "rank")]:
+        model = make_model()
+        freeze_layers(model, [0, 1])
+        attach_adapters(model, [0], GrowthOptions(adapter_rank=rank_0,
+                                                  adapter_scale=scale_0), seed=1)
+        attach_adapters(model, [1], GrowthOptions(adapter_rank=rank_1,
+                                                  adapter_scale=scale_1), seed=2)
+        with pytest.raises(CheckpointError, match=f"disagree on {key}"):
+            save_checkpoint(model, tmp_path / "ck")
+        assert not (tmp_path / "ck").exists()
 
 
 def test_save_refuses_arrays_that_are_not_float32(tmp_path):

@@ -89,7 +89,7 @@ def test_param_counts_untied():
     # Census equals a literal walk of the parameter lists.
     assert counts.total == sum(t.data.size for _, t in named_parameters(model))
     assert counts.trainable == sum(t.data.size
-                                   for _, t in trainable_parameters(model))
+                                   for t in trainable_parameters(model))
 
 
 def test_param_counts_tied():
@@ -105,7 +105,8 @@ def test_param_counts_tied():
 def test_frozen_layers_leave_trainable_list():
     model = build_model(small_config(), 2, seed=0)
     model.layers[0].set_frozen(True)
-    names = [n for n, _ in trainable_parameters(model)]
+    trainable = {id(t) for t in trainable_parameters(model)}
+    names = [n for n, t in named_parameters(model) if id(t) in trainable]
     assert not any(n.startswith("layers.0.") for n in names)
     assert any(n.startswith("layers.1.") for n in names)
     counts = param_counts(model)
@@ -235,7 +236,9 @@ def test_forward_backward_full_model():
     tokens = rng.integers(0, 256, size=(2, 8))
     loss = cross_entropy(forward(model, tokens[:, :-1]), tokens[:, 1:])
     loss.backward()
-    for name, t in trainable_parameters(model):
+    for name, t in named_parameters(model):
+        if not t.requires_grad:
+            continue
         assert t.grad is not None, name
         assert t.grad.shape == t.data.shape, name
         assert np.all(np.isfinite(t.grad)), name

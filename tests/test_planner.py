@@ -5,10 +5,9 @@ import pytest
 from plan_oracle import InstanceTooLargeError, brute_force_plan
 from stagegrow.memory import ModelShape, plan_peak_bytes
 from stagegrow.planner import (BudgetError, PlanInfeasibleError, StagePlan,
-                               equal_memory_relaxation, flops_staged,
-                               flops_vanilla, solve_exact, solve_rounded,
-                               split_steps, stage_flops, stage_param_counts,
-                               token_budget)
+                               equal_memory_relaxation, solve_exact,
+                               solve_rounded, split_steps, stage_flops,
+                               stage_param_counts, token_budget)
 
 SHAPE_1536 = ModelShape(hidden_dim=1536, layer_count=24, adapter_rank=128)
 SHAPE_1600 = ModelShape(hidden_dim=1600, layer_count=12, adapter_rank=128)
@@ -172,10 +171,10 @@ def test_relaxation_infeasible_when_adapters_dominate():
 # ---------------------------------------------------------------------------
 
 def test_flops_vanilla_exact_integer():
-    assert flops_vanilla(368_000_000, 7_200_000_000) == \
+    assert stage_flops(368_000_000, 0, 7_200_000_000) == \
         15_897_600_000_000_000_000
     with pytest.raises(ValueError):
-        flops_vanilla(-1, 10)
+        stage_flops(-1, 0, 10)
 
 
 def test_nonembedding_param_totals():
@@ -208,7 +207,7 @@ def test_flops_staged_two_stage_hand_sum():
     ]
     assert stage_flops(*stages[0]) == 1_290_374_400 * 8_910_000_000
     assert stage_flops(*stages[1]) == 1_515_251_200 * 2_970_000_000
-    assert flops_staged(stages) == 15_997_531_968_000_000_000
+    assert sum(stage_flops(*s) for s in stages) == 15_997_531_968_000_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +274,8 @@ def test_token_budget_consistency(seed):
     assert budget.total_flops == sum(b.flops for b in budget.per_stage)
     assert all(b.steps >= 1 for b in budget.per_stage)
     assert all(b.tokens == b.steps * batch for b in budget.per_stage)
-    expect = flops_staged((b.trainable_params, b.frozen_params, b.tokens)
-                          for b in budget.per_stage)
+    expect = sum(stage_flops(b.trainable_params, b.frozen_params, b.tokens)
+                 for b in budget.per_stage)
     assert budget.total_flops == expect
 
 

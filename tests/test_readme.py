@@ -1,4 +1,5 @@
-"""README.md's examples, run as written."""
+"""README.md's examples, run as written, and its module table checked."""
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -29,3 +30,22 @@ def test_library_snippet_value():
     exec("\n".join(setup), namespace)
     expression, _, value = last.partition("#")
     assert eval(expression, namespace) == int(value) == 6_342_475_776
+
+
+def test_module_table_names_what_each_module_has():
+    # Each backticked name in a row of the module table, dotted or not,
+    # must exist in that row's module, so a removal cannot leave it stale.
+    table = re.search(r"\| module \| what it holds \|\n\| --- \| --- \|\n"
+                      r"((?:\|.*\n)+)", README.read_text())
+    assert table, "README.md has no module table"
+    checked = 0
+    for row in table.group(1).splitlines():
+        module, held = row.strip("|").split("|", 1)
+        obj = importlib.import_module(f"stagegrow.{module.strip().strip('`')}")
+        for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)*)`", held):
+            target = obj
+            for part in name.split("."):
+                assert hasattr(target, part), f"{module.strip()} row: {name}"
+                target = getattr(target, part)
+            checked += 1
+    assert checked, "the module table names nothing"

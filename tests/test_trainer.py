@@ -15,7 +15,7 @@ from stagegrow.checkpoint import load_checkpoint
 from stagegrow.data import EvalOptions, batch_cycle, load_corpus
 from stagegrow.growth import GrowthError, attach_adapters, freeze_layers
 from stagegrow.memory import (ModelShape, StagePlan, embedding_params,
-                              stage_params, stage_state_bytes,
+                              stage_params, stage_state_bytes, state_bytes,
                               vanilla_state_bytes)
 from stagegrow.model import (ModelConfig, build_model, forward,
                              named_parameters, param_counts,
@@ -24,7 +24,7 @@ from stagegrow.planner import stage_flops, stage_param_counts
 from stagegrow.trainer import (GrowthOptions, RunLedger, StageRecord,
                                TrainConfig, _RunWriter, adamw_step,
                                clip_gradients, global_grad_norm, lr_at,
-                               run_schedule, simulated_bytes)
+                               run_schedule)
 
 MODEL_CONFIG = ModelConfig(hidden_dim=48, head_count=4, max_seq_len=32)
 
@@ -48,6 +48,7 @@ def streams(small_corpus_file):
 
 def test_adamw_matches_hand_recurrence():
     lr, b1, b2, eps, wd = 0.01, 0.9, 0.95, 1e-8, 0.1
+    config = train_config(betas=(b1, b2), eps=eps, weight_decay=wd)
     for dtype, transposed in itertools.product((np.float64, np.float32),
                                                (False, True)):
         rng = np.random.default_rng(0)
@@ -61,7 +62,7 @@ def test_adamw_matches_hand_recurrence():
         for k, g in enumerate(grads, start=1):
             # A weight used through transpose() gets its gradient in F order.
             t.grad = np.ascontiguousarray(g.T).T if transposed else g.copy()
-            adamw_step([("w", t)], state, lr, (b1, b2), eps, wd)
+            adamw_step([t], state, lr, config)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * np.square(g)
             m_hat = m / (1.0 - b1 ** k)
@@ -79,7 +80,7 @@ def test_adamw_decay_applies_to_matrices_only():
     vec = Tensor(np.full(2, 2.0), requires_grad=True)
     mat.grad = np.zeros((2, 2))
     vec.grad = np.zeros(2)
-    adamw_step([("m", mat), ("v", vec)], {}, lr=0.1, weight_decay=0.5)
+    adamw_step([mat, vec], {}, 0.1, train_config(weight_decay=0.5))
     # Zero gradient: the Adam term vanishes, leaving pure decay on matrices.
     assert mat.data == pytest.approx(np.full((2, 2), 2.0 - 0.1 * 0.5 * 2.0))
     assert np.array_equal(vec.data, np.full(2, 2.0))
@@ -88,7 +89,7 @@ def test_adamw_decay_applies_to_matrices_only():
 def test_adamw_skips_missing_grads():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     state = {}
-    adamw_step([("w", t)], state, lr=0.1)
+    adamw_step([t], state, 0.1, train_config())
     assert np.array_equal(t.data, np.ones((2, 2)))
     assert state == {}
 
@@ -96,7 +97,7 @@ def test_adamw_skips_missing_grads():
 def test_adamw_keeps_dtype():
     t = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     t.grad = np.full((2, 2), 0.5, dtype=np.float32)
-    adamw_step([("w", t)], {}, lr=0.01)
+    adamw_step([t], {}, 0.01, train_config())
     assert t.data.dtype == np.float32
 
 
@@ -107,13 +108,13 @@ def test_adamw_keeps_dtype():
 def test_clip_scales_down_only():
     a = Tensor(np.zeros(3), requires_grad=True)
     a.grad = np.array([3.0, 4.0, 0.0])  # norm 5
-    returned = clip_gradients([("a", a)], max_norm=1.0)
+    returned = clip_gradients([a], max_norm=1.0)
     assert returned == pytest.approx(5.0)
-    assert global_grad_norm([("a", a)]) == pytest.approx(1.0)
+    assert global_grad_norm([a]) == pytest.approx(1.0)
 
     b = Tensor(np.zeros(2), requires_grad=True)
     b.grad = np.array([0.3, 0.4])
-    returned = clip_gradients([("b", b)], max_norm=1.0)
+    returned = clip_gradients([b], max_norm=1.0)
     assert returned == pytest.approx(0.5)
     assert np.array_equal(b.grad, np.array([0.3, 0.4]))
 
@@ -122,7 +123,7 @@ def test_clip_is_global_across_params():
     a = Tensor(np.zeros(1), requires_grad=True)
     b = Tensor(np.zeros(1), requires_grad=True)
     a.grad, b.grad = np.array([3.0]), np.array([4.0])
-    clip_gradients([("a", a), ("b", b)], max_norm=1.0)
+    clip_gradients([a, b], max_norm=1.0)
     assert a.grad[0] == pytest.approx(0.6)
     assert b.grad[0] == pytest.approx(0.8)
 
@@ -130,7 +131,7 @@ def test_clip_is_global_across_params():
 def test_clip_leaves_nonfinite_grads_for_caller():
     a = Tensor(np.zeros(2), requires_grad=True)
     a.grad = np.array([np.nan, 1.0])
-    norm = clip_gradients([("a", a)], max_norm=1.0)
+    norm = clip_gradients([a], max_norm=1.0)
     assert not math.isfinite(norm)
     # Untouched: the training loop skips the step instead.
     assert np.isnan(a.grad[0]) and a.grad[1] == 1.0
@@ -200,11 +201,12 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         train_config(adapter_reset_interval=0)
     assert train_config(growth_fraction=1.0).growth_fraction == 1.0
-    assert train_config().batch_tokens == 64
 
 
 @pytest.mark.parametrize("overrides", [
-    {"position": "sideways"}, {"init": "zero"}, {"adapter_rank": -1}])
+    {"position": "sideways"}, {"init": "zero"}, {"adapter_rank": -1},
+    {"adapter_scale": float("nan")}, {"adapter_scale": True},
+    {"adapter_scale": "big"}])
 def test_growth_options_reject_bad_policy_when_built(overrides):
     # Caught at construction, not at the first growth boundary.
     with pytest.raises(GrowthError):
@@ -250,7 +252,7 @@ def test_ledger_reconciles_with_planning_formulas(streams):
         assert rec.trainable_params == t_i + emb
         assert rec.frozen_params == f_i
         assert rec.adapter_params == stage_params(*stages[i], shape).adapter
-        assert rec.tokens == rec.steps * cfg.batch_tokens
+        assert rec.tokens == rec.steps * cfg.batch_size * cfg.seq_len
         assert rec.flops == stage_flops(t_i + emb, f_i, rec.tokens)
         assert len(rec.loss_curve) == rec.steps
         assert rec.final_train_loss == rec.loss_curve[-1]
@@ -283,7 +285,9 @@ def test_three_stage_ledger(streams):
     for i, rec in enumerate(result.ledger.stages):
         expect = stage_state_bytes(plan, i + 1, shape, embedding_params=emb)
         assert rec.simulated_bytes == expect.total_bytes
-    assert simulated_bytes(result.model) == result.ledger.stages[-1].simulated_bytes
+    counts = param_counts(result.model)
+    assert (state_bytes(counts.trainable, counts.frozen_layer)
+            == result.ledger.stages[-1].simulated_bytes)
 
 
 def test_frozen_layers_never_move_after_their_stage(streams, tmp_path):
@@ -317,8 +321,10 @@ def test_frozen_layers_hold_no_gradient_after_growth(streams, monkeypatch):
         return built[-1]
 
     def step(params, *args):
-        with_grad = {n for n, t in named_parameters(built[0]) if t.grad is not None}
-        held.append((with_grad, {n for n, _ in params}))
+        named = named_parameters(built[0])
+        name_of = {id(t): n for n, t in named}
+        with_grad = {n for n, t in named if t.grad is not None}
+        held.append((with_grad, {name_of[id(t)] for t in params}))
         real_step(params, *args)
 
     monkeypatch.setattr(trainer, "build_model", build)
@@ -348,8 +354,8 @@ def test_moments_live_exactly_while_their_tensors_train(streams, monkeypatch):
 
     def step(params, state, *args):
         real_step(params, state, *args)
-        assert {id(node) for node in state} == {id(t._node) for _, t in params}
-        for _, t in params:
+        assert {id(node) for node in state} == {id(t._node) for t in params}
+        for t in params:
             st = state[t._node]
             prev = last.get(id(t))
             if prev is not None and prev[0]() is t:
@@ -360,10 +366,10 @@ def test_moments_live_exactly_while_their_tensors_train(streams, monkeypatch):
                 seen["fresh"] += 1
         last.clear()
         last.update({id(t): (weakref.ref(t), weakref.ref(state[t._node]["m"]),
-                             state[t._node]["t"]) for _, t in params})
+                             state[t._node]["t"]) for t in params})
 
     def dropped(model):  # moments of tensors the model no longer trains
-        live = {id(t) for _, t in trainable_parameters(model)}
+        live = {id(t) for t in trainable_parameters(model)}
         for key, (t_ref, m_ref, _) in last.items():
             t = t_ref()
             if t is None or key not in live:
@@ -395,21 +401,22 @@ def test_moments_live_exactly_while_their_tensors_train(streams, monkeypatch):
     assert seen["continued"] == 11 * 21 + 3 + 49 + 21 + 49
 
 
-def test_measured_trade_tracks_the_byte_model(streams):
-    # At a shape where parameters and optimizer state, not activations, set
-    # the peak, the staged run's whole-run tracemalloc peak (build, growth
-    # and steps) falls well below vanilla's, as the byte model says.
-    train, _ = streams
+def measured_trade(label, train, val=None, run_dir=None):
+    """Whole-run tracemalloc peaks (build, growth and steps) of plan (4,4)
+    against (8) at d=384, rank 8: (measured cut, summary line).  With a
+    run_dir, each stage validates on val and checkpoints there."""
     d, rank = 384, 8
 
     def run_peak(plan, steps):
         model_cfg = ModelConfig(hidden_dim=d, head_count=6)
         cfg = train_config(total_steps=steps, growth_fraction=0.5,
                            batch_size=1, seq_len=64)
+        out_dir = None if run_dir is None else run_dir / f"plan_{len(plan)}"
         tracemalloc.start()
         try:
             run_schedule(model_cfg, plan, cfg,
-                         GrowthOptions(adapter_rank=rank, fpi=True), train, None)
+                         GrowthOptions(adapter_rank=rank, fpi=True), train, val,
+                         evaluation=EvalOptions(max_windows=8), out_dir=out_dir)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -420,12 +427,31 @@ def test_measured_trade_tracks_the_byte_model(streams):
     modeled = [stage_state_bytes((4, 4), k, shape, emb).total_bytes for k in (1, 2)]
     modeled_cut = 1.0 - max(modeled) / vanilla_state_bytes(8, d, emb)
     measured_cut = 1.0 - staged / vanilla
-    line = (f"measured trade at d={d}, plan (4,4), rank {rank}: staged "
-            f"{staged / 1e6:.1f} MB vs vanilla {vanilla / 1e6:.1f} MB, "
-            f"reduction {100 * measured_cut:.1f}% measured, "
-            f"{100 * modeled_cut:.1f}% modeled")
+    return measured_cut, (
+        f"measured trade{label} at d={d}, plan (4,4), rank {rank}: staged "
+        f"{staged / 1e6:.1f} MB vs vanilla {vanilla / 1e6:.1f} MB, "
+        f"reduction {100 * measured_cut:.1f}% measured, "
+        f"{100 * modeled_cut:.1f}% modeled")
+
+
+def test_measured_trade_tracks_the_byte_model(streams):
+    # At a shape where parameters and optimizer state, not activations, set
+    # the peak, the staged run's peak falls well below vanilla's, as the
+    # byte model says.
+    train, _ = streams
+    cut, line = measured_trade("", train)
     record_line(line)
-    assert measured_cut >= 0.30, line
+    assert cut >= 0.30, line
+
+
+def test_measured_trade_holds_with_a_run_directory(streams, tmp_path):
+    # As `stagegrow train` runs: each stage validates and checkpoints.  The
+    # streamed save and the dropped gradients keep the peak at the
+    # training state, so the cut holds.
+    train, val = streams
+    cut, line = measured_trade(" with a run directory", train, val, tmp_path)
+    record_line(line)
+    assert cut >= 0.30, line
 
 
 def test_single_stage_equals_plain_loop(streams):
@@ -441,12 +467,12 @@ def test_single_stage_equals_plain_loop(streams):
         lr = lr_at(step, [], cfg)
         inputs, targets = next(batches)
         trainables = trainable_parameters(model)
-        for _, t in trainables:
+        for t in trainables:
             t.zero_grad()
         loss = ad.cross_entropy(forward(model, inputs), targets)
         loss.backward()
         clip_gradients(trainables, cfg.grad_clip)
-        adamw_step(trainables, state, lr, cfg.betas, cfg.eps, cfg.weight_decay)
+        adamw_step(trainables, state, lr, cfg)
 
     got = dict(named_parameters(result.model))
     expect = dict(named_parameters(model))
