@@ -16,17 +16,23 @@ Run artifacts, checkpoints included, are written by `write_atomic` and
 `write_json`: a temp file in the target's directory, then `os.replace`.
 A checkpoint writes its blob first and its manifest last, so a directory
 whose manifest exists holds the blob that manifest describes.
+
+The JSON the program reads, run configs and manifests, goes through one
+reader: `read_record` fills a dataclass by its fields and `read_field`
+types one value, and a value that does not fit is a ConfigError at its path.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
+import typing
 from collections.abc import Iterable
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,12 +77,88 @@ def write_json(path: str | Path, obj) -> None:
                                     allow_nan=False) + "\n").encode()])
 
 
+class ConfigError(ValueError):
+    """Malformed JSON input; the message carries the JSON path."""
+
+
+def check_keys(obj, path: str, allowed: set[str], required: set[str]) -> None:
+    """A ConfigError unless obj is an object of allowed keys, required included."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
+    missing = required - set(obj)
+    if missing:
+        raise ConfigError(f"{path}: missing required field(s) {sorted(missing)}")
+
+
+def read_field(hint, value, path: str):
+    """`value` as a field typed `hint` holds it, else a ConfigError at `path`.
+
+    JSON types match exactly (a bool is not an int), except that a float
+    field takes any finite number; `X | None` also takes null, and a tuple
+    field a list of its length (any length for `tuple[X, ...]`).
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else read_field(args[0], value, path)
+    if typing.get_origin(hint) is tuple and isinstance(value, list):
+        if args[1:] == (Ellipsis,):  # tuple[X, ...]: a list of any length
+            args = args[:1] * len(value)
+        if len(value) == len(args):
+            return tuple(read_field(a, v, f"{path}[{i}]")
+                         for i, (a, v) in enumerate(zip(args, value)))
+    elif hint is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is hint:
+        return value
+    name = hint.__name__ if type(hint) is type else str(hint)
+    raise ConfigError(f"{path}: expected {name}, got {json.dumps(value)}")
+
+
+_type_hints = functools.cache(typing.get_type_hints)  # read once per class
+
+
+def read_record(cls, obj, path: str, **given):
+    """Build dataclass `cls` from the JSON object `obj` found at `path`.
+
+    The allowed keys, required keys, defaults and types are those of
+    `cls`'s fields; fields passed in `given` are not read from the JSON.
+    """
+    own = [f for f in fields(cls) if f.name not in given]
+    check_keys(obj, path, {f.name for f in own},
+               {f.name for f in own if f.default is MISSING})
+    hints = _type_hints(cls)
+    values = {key: read_field(hints[key], value, f"{path}.{key}")
+              for key, value in obj.items()}
+    try:
+        return cls(**values, **given)
+    except ValueError as exc:  # the dataclass's own checks, GrowthError too
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 class CheckpointError(ValueError):
     """Structurally invalid checkpoint."""
 
 
 class DigestError(CheckpointError):
     """Blob bytes do not match the digest recorded in the manifest."""
+
+
+@dataclass(frozen=True)
+class ArrayEntry:
+    """A row of the manifest's array table; the array starts at blob byte `offset`."""
+
+    name: str
+    shape: tuple[int, ...]
+    frozen: bool
+    offset: int
+
+    def __post_init__(self) -> None:
+        if any(n < 0 for n in self.shape):
+            raise ValueError(f"array {self.name} has shape {list(self.shape)}")
 
 
 def save_checkpoint(model: ToyModel, directory: str | Path,
@@ -101,12 +183,8 @@ def save_checkpoint(model: ToyModel, directory: str | Path,
         if tensor.data.dtype != np.float32:
             raise CheckpointError(f"array {name} is {tensor.data.dtype}; "
                                   "checkpoints hold float32 only")
-        table.append({
-            "name": name,
-            "shape": list(tensor.data.shape),
-            "frozen": not tensor.requires_grad,
-            "offset": offset,
-        })
+        table.append(asdict(ArrayEntry(name, tensor.data.shape,
+                                       not tensor.requires_grad, offset)))
         offset += tensor.data.nbytes
     adapter_meta = ({"rank": adapters[0].rank, "scale": adapters[0].scale}
                     if adapters else None)
@@ -151,55 +229,50 @@ def load_checkpoint(directory: str | Path) -> tuple[ToyModel, dict]:
         manifest = json.loads(manifest_path.read_bytes())
         with open(blob_path, "rb") as blob:
             return _rebuild(manifest, blob), manifest
+    except ConfigError as exc:
+        raise CheckpointError(f"malformed manifest: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError,
             KeyError, TypeError, AttributeError) as exc:
         raise CheckpointError(f"malformed manifest: {exc!r}") from exc
 
 
 def _rebuild(manifest: dict, blob) -> ToyModel:
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported format_version {manifest.get('format_version')}")
-    if not isinstance(manifest.get("extra", {}), dict):
-        raise CheckpointError("malformed manifest: extra is not an object")
+    version = read_field(int, manifest.get("format_version"), "format_version")
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported format_version {version}")
+    read_field(dict, manifest.get("extra", {}), "extra")
+    config = read_record(ModelConfig, manifest["config"], "config")
     adapter_meta = manifest.get("adapter")
     if adapter_meta is not None:  # the one rank and scale of every adapter
-        rank, scale = adapter_meta["rank"], adapter_meta["scale"]
-        if type(rank) is not int or rank < 1:
-            raise CheckpointError(f"malformed manifest: adapter rank {rank!r}")
-        if type(scale) not in (int, float) or not abs(scale) <= sys.float_info.max:
-            raise CheckpointError(f"malformed manifest: adapter scale {scale!r}")
+        check_keys(adapter_meta, "adapter", {"rank", "scale"}, {"rank", "scale"})
+        rank = read_field(int, adapter_meta["rank"], "adapter.rank")
+        scale = read_field(float, adapter_meta["scale"], "adapter.scale")
+        if rank < 1:
+            raise CheckpointError(f"malformed manifest: adapter rank {rank}")
     size = os.fstat(blob.fileno()).st_size
-    if size != manifest["blob_bytes"]:
-        raise DigestError(
-            f"blob is {size} bytes, manifest says {manifest['blob_bytes']}")
+    recorded = read_field(int, manifest["blob_bytes"], "blob_bytes")
+    if size != recorded:
+        raise DigestError(f"blob is {size} bytes, manifest says {recorded}")
 
-    try:
-        config = ModelConfig(**manifest["config"])
-    except ValueError as exc:
-        raise CheckpointError(f"malformed manifest: {exc}") from exc
     # The arrays lie back to back, in table order.  Each is read into its
     # own buffer once its extent is known to fit, and hashed as it is read.
     digest = hashlib.sha256()
     arrays = {}
     offset = 0
-    for e in manifest["arrays"]:
-        shape = tuple(e["shape"])
-        if any(type(n) is not int or n < 0 for n in shape):
-            raise CheckpointError(f"malformed manifest: array {e['name']} has "
-                                  f"shape {list(shape)}")
-        end = offset + 4 * math.prod(shape)
-        if e["offset"] != offset:
-            raise CheckpointError(f"malformed manifest: array {e['name']} at "
-                                  f"offset {e['offset']!r}, expected {offset}")
+    for i, row in enumerate(manifest["arrays"]):
+        e = read_record(ArrayEntry, row, f"arrays[{i}]")
+        end = offset + 4 * math.prod(e.shape)
+        if e.offset != offset:
+            raise CheckpointError(f"malformed manifest: array {e.name} at "
+                                  f"offset {e.offset}, expected {offset}")
         if end > size:
-            raise CheckpointError(f"malformed manifest: array {e['name']} "
+            raise CheckpointError(f"malformed manifest: array {e.name} "
                                   "overruns the blob")
-        data = np.empty(shape, dtype=BLOB_DTYPE)
+        data = np.empty(e.shape, dtype=BLOB_DTYPE)
         if blob.readinto(data) != data.nbytes:
             raise DigestError("blob ended before its recorded size")
         digest.update(data)
-        arrays[e["name"]] = (data.astype(np.float32, copy=False), e["frozen"])
+        arrays[e.name] = (data.astype(np.float32, copy=False), e.frozen)
         offset = end
     if offset != size:
         raise CheckpointError(f"malformed manifest: arrays cover {offset} "
@@ -214,8 +287,8 @@ def _rebuild(manifest: dict, blob) -> ToyModel:
         if data.shape != shape:
             raise CheckpointError(f"malformed manifest: array {name} has shape "
                                   f"{data.shape}, expected {shape}")
-        if type(frozen) is not bool or (frozen and not can_freeze):
-            raise CheckpointError(f"array {name} cannot have frozen {frozen!r}")
+        if frozen and not can_freeze:
+            raise CheckpointError(f"array {name} cannot be frozen")
         return Tensor(data, requires_grad=not frozen)
 
     table = (config.vocab_size, config.hidden_dim)

@@ -32,15 +32,14 @@ import json
 import math
 import platform
 import sys
-import typing
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import data as data_lib
 from . import memory as memory_lib
-from . import planner as planner_lib
 from .autodiff import NonFiniteError
+from .checkpoint import ConfigError, check_keys, read_field, read_record
 from .data import EvalOptions
 from .growth import POSITIONS, GrowthOptions
 from .memory import ModelShape, format_gb
@@ -61,81 +60,9 @@ M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 
 
-class ConfigError(ValueError):
-    """Malformed run configuration; message carries the JSON path."""
-
-
 # ---------------------------------------------------------------------------
 # Config file schema (version 1)
 # ---------------------------------------------------------------------------
-
-def _check_keys(obj: dict, path: str, allowed: set[str], required: set[str]) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"{path}: missing required field(s) {sorted(missing)}")
-
-
-def _value(hint, value):
-    """`value` as a field typed `hint` holds it; TypeError if it does not fit.
-
-    JSON types must match exactly (a bool is not an int), except that an
-    int widens to a float field, which takes finite values only; `X | None`
-    also takes null and a tuple field takes a list of the tuple's length
-    (any length for `tuple[X, ...]`).
-    """
-    args = typing.get_args(hint)
-    if type(None) in args:
-        return None if value is None else _value(args[0], value)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise TypeError
-        if args[1:] == (Ellipsis,):  # tuple[X, ...]: a list of any length
-            args = args[:1] * len(value)
-        if len(value) != len(args):
-            raise TypeError
-        return tuple(map(_value, args, value))
-    if hint is float:
-        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-            raise TypeError
-        return float(value)
-    if type(value) is not hint:
-        raise TypeError
-    return value
-
-
-def _field(hint, value, path: str):
-    """`_value(hint, value)`; a value that does not fit is a ConfigError at `path`."""
-    try:
-        return _value(hint, value)
-    except TypeError:
-        name = hint.__name__ if type(hint) is type else str(hint)
-        raise ConfigError(f"{path}: expected {name}, "
-                          f"got {json.dumps(value)}") from None
-
-
-def _section(cls, obj, path: str, **given):
-    """Build dataclass `cls` from the JSON object `obj` found at `path`.
-
-    The allowed keys, required keys, defaults and types are those of
-    `cls`'s fields; fields passed in `given` are not read from the JSON.
-    """
-    own = [f for f in fields(cls) if f.name not in given]
-    _check_keys(obj, path, {f.name for f in own},
-                {f.name for f in own if f.default is MISSING})
-    hints = typing.get_type_hints(cls)
-    values = {}
-    for key, value in obj.items():
-        values[key] = _field(hints[key], value, f"{path}.{key}")
-    try:
-        return cls(**values, **given)
-    except ValueError as exc:  # the dataclass's own checks, GrowthError too
-        raise ConfigError(f"{path}: {exc}") from exc
-
 
 def load_run_config(path: str | Path) -> tuple[
         dict, StagePlan, ModelConfig, TrainConfig, GrowthOptions, EvalOptions]:
@@ -152,44 +79,39 @@ def load_run_config(path: str | Path) -> tuple[
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
-    _check_keys(cfg, "$", {"version", "run_dir", "corpus", "validation_fraction",
-                           "model", "plan", "growth", "train", "eval"},
-                {"version", "run_dir", "corpus", "model", "plan", "train"})
-    if _field(int, cfg["version"], "$.version") != 1:
+    check_keys(cfg, "$", {"version", "run_dir", "corpus", "validation_fraction",
+                          "model", "plan", "growth", "train", "eval"},
+               {"version", "run_dir", "corpus", "model", "plan", "train"})
+    if read_field(int, cfg["version"], "$.version") != 1:
         raise ConfigError(f"$.version: unsupported version {cfg['version']!r}")
-    if not isinstance(cfg["run_dir"], str) or not cfg["run_dir"]:
+    if not read_field(str, cfg["run_dir"], "$.run_dir"):
         raise ConfigError("$.run_dir: expected a non-empty string")
     corpus = [cfg["corpus"]] if isinstance(cfg["corpus"], str) else cfg["corpus"]
-    if (not isinstance(corpus, list) or not corpus
-            or not all(isinstance(p, str) for p in corpus)):
+    corpus = cfg["corpus"] = list(read_field(tuple[str, ...], corpus, "$.corpus"))
+    if not corpus:
         raise ConfigError("$.corpus: expected a path or non-empty list of paths")
-    cfg["corpus"] = corpus
-    vf = cfg.get("validation_fraction", data_lib.VALIDATION_FRACTION)
-    if not isinstance(vf, (int, float)) or not 0.0 < vf < 1.0:
+    vf = read_field(float, cfg.get("validation_fraction", data_lib.VALIDATION_FRACTION),
+                    "$.validation_fraction")
+    if not 0.0 < vf < 1.0:
         raise ConfigError("$.validation_fraction: expected a number in (0, 1)")
 
-    growth = _section(GrowthOptions, cfg.get("growth", {}), "$.growth")
-    train = _section(TrainConfig, cfg["train"], "$.train")
-    evaluation = _section(EvalOptions, cfg.get("eval", {}), "$.eval",
-                          validation_fraction=vf)
-    model = _section(ModelConfig, cfg["model"], "$.model")
+    growth = read_record(GrowthOptions, cfg.get("growth", {}), "$.growth")
+    train = read_record(TrainConfig, cfg["train"], "$.train")
+    evaluation = read_record(EvalOptions, cfg.get("eval", {}), "$.eval",
+                             validation_fraction=vf)
+    model = read_record(ModelConfig, cfg["model"], "$.model")
     if train.seq_len > model.max_seq_len:
         raise ConfigError(f"$.train.seq_len: {train.seq_len} exceeds "
                           f"$.model.max_seq_len {model.max_seq_len}")
 
     plan_cfg = cfg["plan"]
-    _check_keys(plan_cfg, "$.plan", {"increments", "layers", "stages", "mode"}, set())
-    if "increments" in plan_cfg:
-        if set(plan_cfg) - {"increments"}:
-            raise ConfigError("$.plan: increments excludes layers/stages/mode")
-        plan = _section(StagePlan, plan_cfg, "$.plan")
+    check_keys(plan_cfg, "$.plan", {"increments", "layers", "stages", "mode"}, set())
+    if "increments" in plan_cfg:  # then layers, stages and mode are unknown keys
+        plan = read_record(StagePlan, plan_cfg, "$.plan")
     else:
-        for key in ("layers", "stages"):
-            if key not in plan_cfg:
-                raise ConfigError(f"$.plan.{key}: required int when increments absent")
-        layers = _field(int, plan_cfg["layers"], "$.plan.layers")
-        stages = _field(int, plan_cfg["stages"], "$.plan.stages")
-        mode = plan_cfg.get("mode", "exact")
+        layers = read_field(int, plan_cfg.get("layers"), "$.plan.layers")
+        stages = read_field(int, plan_cfg.get("stages"), "$.plan.stages")
+        mode = read_field(str, plan_cfg.get("mode", "exact"), "$.plan.mode")
         if mode not in SOLVERS:
             raise ConfigError("$.plan.mode: expected 'exact' or 'rounded'")
         shape = ModelShape(hidden_dim=model.hidden_dim, layer_count=layers,
@@ -397,17 +319,18 @@ def cmd_eval(args) -> int:
     extra = manifest.get("extra", {})
     seq_len = args.seq_len
     if seq_len is None:
-        seq_len = _field(int, extra.get("seq_len", TrainConfig.seq_len),
-                         "manifest extra.seq_len")
+        seq_len = read_field(int, extra.get("seq_len", TrainConfig.seq_len),
+                             "manifest extra.seq_len")
     # The checkpoint's record; each flag given (named as its field) replaces a value.
-    evaluation = _section(EvalOptions, extra.get("eval", {}), "manifest extra.eval")
+    evaluation = read_record(EvalOptions, extra.get("eval", {}), "manifest extra.eval")
     evaluation = replace(evaluation, **{
         f.name: getattr(args, f.name) for f in fields(EvalOptions)
         if getattr(args, f.name) is not None})
 
     _, val_stream = data_lib.load_corpus(args.corpus,
                                          evaluation.validation_fraction)
-    recorded = extra.get("corpus_digest")
+    recorded = read_field(str | None, extra.get("corpus_digest"),
+                          "manifest extra.corpus_digest")
     if recorded is not None and recorded != val_stream.digest:
         print(f"note: corpus digest {val_stream.digest[:12]} differs from the "
               f"checkpoint's training corpus {recorded[:12]}", file=sys.stderr)

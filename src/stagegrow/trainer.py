@@ -63,6 +63,8 @@ class TrainConfig:
                 f"warmup_steps must be in [0, total_steps], got {self.warmup_steps}")
         if self.restart_warmup_steps < 0:
             raise ValueError("restart_warmup_steps must be >= 0")
+        if self.seed < 0:  # numpy seeds take no negative value
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.peak_lr <= 0:
             raise ValueError(f"peak_lr must be positive, got {self.peak_lr}")
         if not all(0.0 <= b < 1.0 for b in self.betas):

@@ -280,6 +280,14 @@ def edit_arrays(manifest, edits):
     lambda m: {**m, "adapter": {**m["adapter"], "rank": 4.0}},
     lambda m: {**m, "adapter": {**m["adapter"], "rank": "4"}},
     lambda m: {**m, "adapter": [4, 0.25]},
+    # The config is read as strictly as a run config's $.model.
+    lambda m: {**m, "config": {**m["config"], "hidden_dim": 48.0}},
+    lambda m: {**m, "config": {**m["config"], "head_count": True}},
+    lambda m: {**m, "config": {**m["config"], "rope_base": True}},
+    lambda m: {**m, "config": {**m["config"], "tied_embeddings": 0}},
+    # So are the manifest's own counts: 2.0 == 2 in Python, not in the format.
+    lambda m: {**m, "format_version": float(m["format_version"])},
+    lambda m: {**m, "blob_bytes": float(m["blob_bytes"])},
 ], ids=["no_blob_bytes", "no_arrays", "unknown_config_key", "list", "extra_list",
         "shared_offset", "swapped_offsets", "blob_not_covered", "blob_overrun",
         "shape_oversized", "shape_negative",
@@ -287,7 +295,8 @@ def edit_arrays(manifest, edits):
         "gain_reshaped",
         "scale_null", "scale_nan", "scale_inf", "scale_overflows", "scale_bool",
         "scale_string", "rank_zero", "rank_bool", "rank_float", "rank_string",
-        "adapter_list"])
+        "adapter_list", "hidden_dim_float", "head_count_bool", "rope_base_bool",
+        "tied_embeddings_int", "format_version_float", "blob_bytes_float"])
 def test_malformed_manifest(tmp_path, edit):
     save_checkpoint(make_staged_model(), tmp_path / "ck")
     path = tmp_path / "ck" / MANIFEST_NAME

@@ -315,6 +315,10 @@ def test_train_missing_corpus_creates_nothing(capsys, tmp_path):
     ({"train": {"weight_decay": -0.1}}, "$.train: weight_decay"),
     ({"train": {"grad_clip": 0}}, "$.train: grad_clip"),
     ({"train": {"grad_clip": -1}}, "$.train: grad_clip"),
+    # A mode that is not a string, and a seed numpy would refuse.
+    ({"plan": {"layers": 4, "stages": 2, "mode": []}}, "$.plan.mode"),
+    ({"plan": {"layers": 4, "stages": 2, "mode": {}}}, "$.plan.mode"),
+    ({"train": {"seed": -1}}, "$.train: seed"),
 ])
 def test_train_config_validation(capsys, tmp_path, small_corpus_file,
                                  overrides, fragment):
@@ -571,18 +575,42 @@ def test_eval_malformed_manifest(capsys, tmp_path, small_corpus_file):
     assert not (tmp_path / "e.json").exists()
 
 
+@pytest.mark.parametrize("key,value,kind", [
+    ("hidden_dim", 48.0, "int"), ("head_count", True, "int"),
+    ("rope_base", True, "float"), ("max_seq_len", 64.0, "int"),
+    ("vocab_size", 256.0, "int"), ("tied_embeddings", 0, "bool")])
+def test_eval_rejects_a_mistyped_manifest_config(capsys, tmp_path, small_corpus_file,
+                                                 key, value, kind):
+    # An input error that names its path, not a traceback or a silently
+    # different model (rope_base true would rotate at base 1.0).
+    model = build_model(ModelConfig(hidden_dim=48, head_count=4), 1, seed=0)
+    save_checkpoint(model, tmp_path / "ck")
+    manifest = tmp_path / "ck" / "manifest.json"
+    edited = json.loads(manifest.read_text())
+    edited["config"][key] = value
+    manifest.write_text(json.dumps(edited))
+    status, _, stderr = run_cli(
+        capsys, "eval", "--checkpoint", str(tmp_path / "ck"),
+        "--corpus", str(small_corpus_file), "--out", str(tmp_path / "e.json"))
+    assert status == 2
+    assert (f"malformed manifest: config.{key}: expected {kind}, "
+            f"got {json.dumps(value)}") in stderr
+    assert not (tmp_path / "e.json").exists()
+
+
 @pytest.mark.parametrize("key,value", [("seq_len", "16"), ("seq_len", 16.0),
                                        ("validation_fraction", "0.1"),
                                        ("batch_size", True),
-                                       ("max_windows", [4])])
+                                       ("max_windows", [4]),
+                                       ("corpus_digest", 5)])
 def test_eval_rejects_mistyped_checkpoint_settings(capsys, tmp_path, small_corpus_file,
                                                    key, value):
-    # seq_len is a top-level extra key; the rest are EvalOptions fields
-    # under extra.eval.
+    # seq_len and corpus_digest are top-level extra keys; the rest are
+    # EvalOptions fields under extra.eval.
     model = build_model(ModelConfig(hidden_dim=48, head_count=4, max_seq_len=32),
                         1, seed=0)
-    if key == "seq_len":
-        extra, path = {"seq_len": value}, key
+    if key in ("seq_len", "corpus_digest"):
+        extra, path = {"seq_len": 16, key: value}, key
     else:
         extra, path = {"seq_len": 16, "eval": {key: value}}, f"eval.{key}"
     save_checkpoint(model, tmp_path / "ck", extra=extra)

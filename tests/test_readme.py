@@ -1,10 +1,12 @@
-"""README.md's examples, run as written, and its module table checked."""
+"""README.md's examples, run as written, and its module and schema tables checked."""
 import importlib
+import json
 import re
 import shlex
+from dataclasses import MISSING, fields
 from pathlib import Path
 
-from stagegrow.cli import main
+from stagegrow.cli import load_run_config, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,3 +51,26 @@ def test_module_table_names_what_each_module_has():
                 target = getattr(target, part)
             checked += 1
     assert checked, "the module table names nothing"
+
+
+def test_run_config_example_loads(tmp_path):
+    cfg = json.loads(readme_block('{\n  "version"'))
+    corpus = tmp_path / "corpus.bin"
+    corpus.write_bytes(bytes(range(256)))
+    cfg["corpus"] = [str(corpus)]
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    _, plan, *_ = load_run_config(tmp_path / "run.json")
+    assert plan.increments == (5, 3)
+
+
+def test_schema_table_required_column_matches_the_dataclasses():
+    table = re.search(r"\| section \| dataclass \| required \|\n\| --- \| --- \| --- \|\n"
+                      r"((?:\|.*\n)+)", README.read_text())
+    assert table, "README.md has no schema table"
+    for row in table.group(1).splitlines():
+        section, record, required = row.strip("|").split("|")
+        module, _, name = re.search(r"`([\w.]+)`", record).group(1).rpartition(".")
+        cls = getattr(importlib.import_module(module), name)
+        assert set(re.findall(r"`(\w+)`", required)) == {
+            f.name for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING}, section

@@ -20,7 +20,7 @@ from stagegrow.memory import (ModelShape, StagePlan, embedding_params,
 from stagegrow.model import (ModelConfig, build_model, forward,
                              named_parameters, param_counts,
                              trainable_parameters)
-from stagegrow.planner import stage_flops, stage_param_counts
+from stagegrow.planner import solve_exact, stage_flops, stage_param_counts
 from stagegrow.trainer import (GrowthOptions, RunLedger, StageRecord,
                                TrainConfig, _RunWriter, adamw_step,
                                clip_gradients, global_grad_norm, lr_at,
@@ -401,15 +401,16 @@ def test_moments_live_exactly_while_their_tensors_train(streams, monkeypatch):
     assert seen["continued"] == 11 * 21 + 3 + 49 + 21 + 49
 
 
-def measured_trade(label, train, val=None, run_dir=None):
-    """Whole-run tracemalloc peaks (build, growth and steps) of plan (4,4)
-    against (8) at d=384, rank 8: (measured cut, summary line).  With a
-    run_dir, each stage validates on val and checkpoints there."""
-    d, rank = 384, 8
+def measured_trade(label, train, val=None, run_dir=None, plan=(4, 4)):
+    """Whole-run tracemalloc peaks (build, growth and steps) of `plan`
+    against vanilla at its depth, d=384, rank 8, 2 steps per stage:
+    (measured cut, summary line).  With a run_dir, each stage validates on
+    val and checkpoints there."""
+    d, rank, depth = 384, 8, sum(plan)
 
-    def run_peak(plan, steps):
+    def run_peak(plan):
         model_cfg = ModelConfig(hidden_dim=d, head_count=6)
-        cfg = train_config(total_steps=steps, growth_fraction=0.5,
+        cfg = train_config(total_steps=2 * len(plan), growth_fraction=0.5,
                            batch_size=1, seq_len=64)
         out_dir = None if run_dir is None else run_dir / f"plan_{len(plan)}"
         tracemalloc.start()
@@ -421,16 +422,17 @@ def measured_trade(label, train, val=None, run_dir=None):
         finally:
             tracemalloc.stop()
 
-    staged, vanilla = run_peak((4, 4), 4), run_peak((8,), 2)
-    shape = ModelShape(hidden_dim=d, layer_count=8, adapter_rank=rank)
+    staged, vanilla = run_peak(plan), run_peak((depth,))
+    shape = ModelShape(hidden_dim=d, layer_count=depth, adapter_rank=rank)
     emb = embedding_params(256, d)
-    modeled = [stage_state_bytes((4, 4), k, shape, emb).total_bytes for k in (1, 2)]
-    modeled_cut = 1.0 - max(modeled) / vanilla_state_bytes(8, d, emb)
+    modeled = [stage_state_bytes(plan, k, shape, emb).total_bytes
+               for k in range(1, len(plan) + 1)]
+    modeled_cut = 1.0 - max(modeled) / vanilla_state_bytes(depth, d, emb)
     measured_cut = 1.0 - staged / vanilla
     return measured_cut, (
-        f"measured trade{label} at d={d}, plan (4,4), rank {rank}: staged "
-        f"{staged / 1e6:.1f} MB vs vanilla {vanilla / 1e6:.1f} MB, "
-        f"reduction {100 * measured_cut:.1f}% measured, "
+        f"measured trade{label} at d={d}, plan ({','.join(map(str, plan))}), "
+        f"rank {rank}: staged {staged / 1e6:.1f} MB vs vanilla "
+        f"{vanilla / 1e6:.1f} MB, reduction {100 * measured_cut:.1f}% measured, "
         f"{100 * modeled_cut:.1f}% modeled")
 
 
@@ -452,6 +454,20 @@ def test_measured_trade_holds_with_a_run_directory(streams, tmp_path):
     cut, line = measured_trade(" with a run directory", train, val, tmp_path)
     record_line(line)
     assert cut >= 0.30, line
+
+
+def test_measured_trade_of_the_three_stage_headline(streams, tmp_path):
+    # The paper's headline trade is a three-stage plan.  Each stage past the
+    # first trains fewer new layers beside more frozen ones, so the cut
+    # grows past the two-stage one: (5,4,3) against 12-layer vanilla.
+    train, val = streams
+    plan = solve_exact(12, 3, ModelShape(hidden_dim=384, layer_count=12,
+                                         adapter_rank=8))
+    assert plan.increments == (5, 4, 3)
+    cut, line = measured_trade(" of three stages with a run directory", train,
+                               val, tmp_path, plan.increments)
+    record_line(line)
+    assert cut >= 0.48, line
 
 
 def test_single_stage_equals_plain_loop(streams):
