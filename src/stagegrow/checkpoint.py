@@ -114,7 +114,10 @@ def read_field(hint, value, path: str):
             return float(value)
     elif type(value) is hint:
         return value
-    name = hint.__name__ if type(hint) is type else str(hint)
+    name = hint.__name__
+    if typing.get_origin(hint) is tuple:  # named as the JSON list it reads
+        count = "" if args[1:] == (Ellipsis,) else f"{len(args)} "
+        name = f"a list of {count}{args[0].__name__}"
     raise ConfigError(f"{path}: expected {name}, got {json.dumps(value)}")
 
 

@@ -64,23 +64,32 @@ M_MMAP_THRESHOLD = -3
 # Config file schema (version 1)
 # ---------------------------------------------------------------------------
 
-def load_run_config(path: str | Path) -> tuple[
-        dict, StagePlan, ModelConfig, TrainConfig, GrowthOptions, EvalOptions]:
-    """Parse and validate a training config file; checks the corpus exists.
-
-    Returns the JSON object as given (with `corpus` as a list) and the
-    typed parts.  Nothing is written.
-    """
+def read_config_file(path: str | Path):
+    """A training config file's JSON object, not yet typed."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
-    check_keys(cfg, "$", {"version", "run_dir", "corpus", "validation_fraction",
-                          "model", "plan", "growth", "train", "eval"},
+
+def load_run_config(path: str | Path):
+    """Read a training config file and type it by `read_run_config`."""
+    return read_run_config(read_config_file(path))
+
+
+def read_run_config(cfg) -> tuple[
+        dict, StagePlan, ModelConfig, TrainConfig, GrowthOptions, EvalOptions]:
+    """Validate a run config's JSON object; checks the corpus exists.
+
+    Returns the object as given (with `corpus` made a list) and the typed
+    parts.  Nothing is written.
+    """
+    check_keys(cfg, "$", {"version", "run_dir", "corpus", "corpus_digest",
+                          "validation_fraction", "model", "plan", "growth",
+                          "train", "eval"},
                {"version", "run_dir", "corpus", "model", "plan", "train"})
     if read_field(int, cfg["version"], "$.version") != 1:
         raise ConfigError(f"$.version: unsupported version {cfg['version']!r}")
@@ -94,6 +103,7 @@ def load_run_config(path: str | Path) -> tuple[
                     "$.validation_fraction")
     if not 0.0 < vf < 1.0:
         raise ConfigError("$.validation_fraction: expected a number in (0, 1)")
+    read_field(str, cfg.get("corpus_digest", ""), "$.corpus_digest")
 
     growth = read_record(GrowthOptions, cfg.get("growth", {}), "$.growth")
     train = read_record(TrainConfig, cfg["train"], "$.train")
@@ -281,16 +291,23 @@ def cmd_plan(args) -> int:
     return status
 
 
-def cmd_train(args) -> int:
-    cfg, plan, model_cfg, train_cfg, growth, evaluation = load_run_config(args.config)
-    if args.run_dir is not None:
-        cfg["run_dir"] = args.run_dir
+def train_run(cfg):
+    """Train a run config's JSON object, checked before its `run_dir` is made.
+
+    `train` and every `ablate` cell run here.  The run's `config.json`
+    trains again: it is cfg with the solved plan and the corpus digest.
+    Returns the typed plan and the run's result.
+    """
+    cfg, plan, model_cfg, train_cfg, growth, evaluation = read_run_config(cfg)
     run_dir = Path(cfg["run_dir"])
     if run_dir.exists():
         raise ConfigError(f"run_dir already exists: {run_dir}")
 
     train_stream, val_stream = data_lib.load_corpus(
         cfg["corpus"], evaluation.validation_fraction)
+    if cfg.get("corpus_digest", train_stream.digest) != train_stream.digest:
+        raise ConfigError(f"$.corpus_digest: {cfg['corpus_digest']} is not the "
+                          f"corpus's digest {train_stream.digest}")
     require_data(train_cfg, train_stream, val_stream)
 
     run_dir.mkdir(parents=True)
@@ -301,16 +318,23 @@ def cmd_train(args) -> int:
 
     result = run_schedule(model_cfg, plan, train_cfg, growth, train_stream,
                           val_stream, evaluation=evaluation, out_dir=run_dir)
+    ckpt.write_json(run_dir / "final_eval.json", asdict(result.validation))
+    return plan, result
+
+
+def cmd_train(args) -> int:
+    cfg = read_config_file(args.config)
+    if args.run_dir is not None:
+        cfg["run_dir"] = args.run_dir
+    plan, result = train_run(cfg)
 
     last = result.ledger.stages[-1]
-    ckpt.write_json(run_dir / "final_eval.json", asdict(result.validation))
-
     print(f"trained plan {plan.describe()} for {result.ledger.total_steps} steps")
     print(f"peak simulated bytes {result.ledger.peak_simulated_bytes} "
           f"({format_gb(result.ledger.peak_simulated_bytes)})")
     print(f"final val ppl {last.val_ppl:.4f}" if last.val_ppl is not None
           else "no validation eval")
-    print(f"run directory: {run_dir}")
+    print(f"run directory: {Path(cfg['run_dir'])}")
     return EXIT_OK
 
 
@@ -347,19 +371,15 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-# Each cell: (label, GrowthOptions overrides, TrainConfig overrides).
+# Each cell: (label, patch); a patch holds run-config sections, each merged
+# key by key over the base config's.
 ABLATION_CELLS = {
-    "position": [(p, {"position": p}, {}) for p in POSITIONS],
-    "init": [("copy", {"init": "copy", "fpi": False}, {}),
-             ("copy+fpi", {"init": "copy", "fpi": True}, {}),
-             ("mean", {"init": "mean", "fpi": False}, {}),
-             ("mean+fpi", {"init": "mean", "fpi": True}, {})],
-    "timing": [("25%", {}, {"growth_fraction": 0.25}),
-               ("50%", {}, {"growth_fraction": 0.50}),
-               ("75%", {}, {"growth_fraction": 0.75}),
-               ("100%", {}, {"growth_fraction": 1.00})],
-    "pet": [("w/ PET", {}, {}),
-            ("w/o PET", {"adapter_rank": 0}, {})],
+    "position": [(p, {"growth": {"position": p}}) for p in POSITIONS],
+    "init": [(init + "+fpi" * fpi, {"growth": {"init": init, "fpi": fpi}})
+             for init in ("copy", "mean") for fpi in (False, True)],
+    "timing": [(f"{pct}%", {"train": {"growth_fraction": pct / 100}})
+               for pct in (25, 50, 75, 100)],
+    "pet": [("w/ PET", {}), ("w/o PET", {"growth": {"adapter_rank": 0}})],
 }
 
 
@@ -369,7 +389,7 @@ def _cell_slug(label: str) -> str:
 
 
 def cmd_ablate(args) -> int:
-    cfg, plan, model_cfg, train_cfg, growth, evaluation = load_run_config(args.config)
+    cfg, plan, _, _, growth, _ = load_run_config(args.config)
     if len(plan) < 2:
         raise ConfigError("ablations need a plan with at least two stages")
     if args.axis == "pet" and growth.adapter_rank < 1:
@@ -378,15 +398,14 @@ def cmd_ablate(args) -> int:
     if root.exists():
         raise ConfigError(f"output directory already exists: {root}")
 
-    train_stream, val_stream = data_lib.load_corpus(
-        cfg["corpus"], evaluation.validation_fraction)
-
+    # Every cell trains the base plan, not one solved for its own adapter_rank.
+    cfg["plan"] = {"increments": list(plan.increments)}
     rows = []
-    for label, growth_overrides, train_overrides in ABLATION_CELLS[args.axis]:
-        result = run_schedule(
-            model_cfg, plan, replace(train_cfg, **train_overrides),
-            replace(growth, **growth_overrides), train_stream, val_stream,
-            evaluation=evaluation, out_dir=root / "cells" / _cell_slug(label))
+    for label, patch in ABLATION_CELLS[args.axis]:
+        _, result = train_run({
+            **cfg, **{key: {**cfg.get(key, {}), **section}
+                      for key, section in patch.items()},
+            "run_dir": str(root / "cells" / _cell_slug(label))})
         last = result.ledger.stages[-1]
         rows.append({
             "cell": label,
@@ -399,7 +418,6 @@ def cmd_ablate(args) -> int:
         print(f"[{args.axis}] {label}: val_ppl={last.val_ppl:.4f} "
               f"peak_bytes={result.ledger.peak_simulated_bytes}")
 
-    root.mkdir(parents=True, exist_ok=True)
     ckpt.write_json(root / "results.json", {"axis": args.axis, "cells": rows})
     _write_csv(root / "results.csv", [list(rows[0]), *(r.values() for r in rows)])
 

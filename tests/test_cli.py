@@ -319,6 +319,8 @@ def test_train_missing_corpus_creates_nothing(capsys, tmp_path):
     ({"plan": {"layers": 4, "stages": 2, "mode": []}}, "$.plan.mode"),
     ({"plan": {"layers": 4, "stages": 2, "mode": {}}}, "$.plan.mode"),
     ({"train": {"seed": -1}}, "$.train: seed"),
+    # A run directory's config.json carries its corpus's digest as a string.
+    ({"corpus_digest": 5}, "$.corpus_digest"),
 ])
 def test_train_config_validation(capsys, tmp_path, small_corpus_file,
                                  overrides, fragment):
@@ -328,6 +330,22 @@ def test_train_config_validation(capsys, tmp_path, small_corpus_file,
     assert status == 2
     assert fragment in stderr
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (None, "corpus", 5), ("train", "betas", 5), ("train", "betas", [0.9]),
+    ("plan", "increments", "x")], ids=["corpus", "betas", "betas_short",
+                                       "increments"])
+def test_list_fields_are_named_as_json_lists(capsys, tmp_path, small_corpus_file,
+                                             section, key, value):
+    # README documents these keys as JSON lists; the message says so too.
+    cfg_path = write_config(tmp_path, small_corpus_file, tmp_path / "run")
+    cfg = json.loads(cfg_path.read_text())
+    (cfg[section] if section else cfg)[key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    status, _, stderr = run_cli(capsys, "train", "--config", str(cfg_path))
+    assert status == 2
+    assert "expected a list of " in stderr and "tuple" not in stderr
 
 
 def test_config_sections_round_trip_to_dataclasses(tmp_path, small_corpus_file):
@@ -439,6 +457,49 @@ def test_train_missing_config_file(capsys, tmp_path):
                                 str(tmp_path / "none.json"))
     assert status == 2
     assert "not found" in stderr
+
+
+def assert_same_run(first, second):
+    """Every artifact of two run directories is byte-identical, and their
+    config.json files differ only in run_dir."""
+    def files(run_dir):
+        return {p.relative_to(run_dir): p.read_bytes()
+                for p in sorted(run_dir.rglob("*")) if p.is_file()}
+    got, want = files(second), files(first)
+    configs = [json.loads(f.pop(Path("config.json"))) for f in (got, want)]
+    assert got == want
+    assert configs[0].pop("run_dir") == str(second)
+    assert configs[1].pop("run_dir") == str(first)
+    assert configs[0] == configs[1]
+    assert {"ledger.json", "log.ndjson", "final_eval.json",
+            "checkpoints/stage_02/params.bin"} <= {str(p) for p in got}
+
+
+def test_a_run_directory_config_trains_again(capsys, tmp_path,
+                                             small_corpus_file):
+    run_dir = tmp_path / "run"
+    cfg_path = write_config(tmp_path, small_corpus_file, run_dir,
+                            plan={"layers": 4, "stages": 2})
+    assert run_cli(capsys, "train", "--config", str(cfg_path))[0] == 0
+    status, _, _ = run_cli(capsys, "train", "--config", str(run_dir / "config.json"),
+                           "--run-dir", str(tmp_path / "run2"))
+    assert status == 0
+    assert_same_run(run_dir, tmp_path / "run2")
+
+
+def test_a_changed_corpus_digest_is_refused(capsys, tmp_path, small_corpus_file):
+    run_dir = tmp_path / "run"
+    cfg_path = write_config(tmp_path, small_corpus_file, run_dir)
+    assert run_cli(capsys, "train", "--config", str(cfg_path))[0] == 0
+    snapshot = json.loads((run_dir / "config.json").read_text())
+    digest = snapshot["corpus_digest"]
+    snapshot["corpus_digest"] = ("1" if digest[0] == "0" else "0") + digest[1:]
+    cfg_path.write_text(json.dumps(snapshot))
+    status, _, stderr = run_cli(capsys, "train", "--config", str(cfg_path),
+                                "--run-dir", str(tmp_path / "run2"))
+    assert status == 2
+    assert "$.corpus_digest" in stderr
+    assert not (tmp_path / "run2").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +755,47 @@ def test_ablate_cells_record_validation_fraction(capsys, tmp_path,
     payload = json.loads((tmp_path / "e.json").read_text())
     assert payload["ppl"] == pytest.approx(ledger["stages"][-1]["val_ppl"],
                                            rel=1e-12)
+
+
+def test_every_ablation_cell_trains_again(capsys, tmp_path, small_corpus_file):
+    cfg_path = write_config(tmp_path, small_corpus_file, tmp_path / "run")
+    out = tmp_path / "ablation"
+    status, _, _ = run_cli(capsys, "ablate", "--axis", "pet",
+                           "--config", str(cfg_path), "--out", str(out))
+    assert status == 0
+    for cell, rank in (("with_pet", 4), ("without_pet", 0)):
+        *_, growth, _ = load_run_config(out / "cells" / cell / "config.json")
+        assert growth == GrowthOptions(adapter_rank=rank)
+    cell = out / "cells" / "without_pet"
+    status, _, _ = run_cli(capsys, "train", "--config", str(cell / "config.json"),
+                           "--run-dir", str(tmp_path / "again"))
+    assert status == 0
+    assert_same_run(cell, tmp_path / "again")
+
+
+def test_ablation_cells_share_the_base_plan(capsys, tmp_path, small_corpus_file):
+    # At d=12 the planner solves 4 layers in 2 stages to (3, 1) with
+    # rank-4 adapters but to (2, 2) without them; the w/o PET cell still
+    # trains the base config's (3, 1).
+    model = {"hidden_dim": 12, "head_count": 2, "max_seq_len": 32}
+    cfg_path = write_config(tmp_path, small_corpus_file, tmp_path / "run",
+                            model=model, plan={"layers": 4, "stages": 2})
+    _, plan, *_ = load_run_config(cfg_path)
+    assert plan.increments == (3, 1)
+    (tmp_path / "rank0").mkdir()
+    no_adapters = write_config(tmp_path / "rank0", small_corpus_file, "x", model=model,
+                               plan={"layers": 4, "stages": 2},
+                               growth={"adapter_rank": 0})
+    assert load_run_config(no_adapters)[1].increments == (2, 2)
+    out = tmp_path / "ablation"
+    status, _, _ = run_cli(capsys, "ablate", "--axis", "pet",
+                           "--config", str(cfg_path), "--out", str(out))
+    assert status == 0
+    for cell in ("with_pet", "without_pet"):
+        snapshot = json.loads((out / "cells" / cell / "config.json").read_text())
+        assert snapshot["plan"] == {"increments": [3, 1]}
+        ledger = json.loads((out / "cells" / cell / "ledger.json").read_text())
+        assert [s["cumulative_layers"] for s in ledger["stages"]] == [3, 4]
 
 
 def test_ablate_too_short_creates_nothing(capsys, tmp_path):

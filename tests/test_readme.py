@@ -1,4 +1,6 @@
-"""README.md's examples, run as written, and its module and schema tables checked."""
+"""README.md's examples, run as written, and its module, schema and flag
+tables checked."""
+import argparse
 import importlib
 import json
 import re
@@ -6,7 +8,7 @@ import shlex
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from stagegrow.cli import load_run_config, main
+from stagegrow.cli import build_parser, load_run_config, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -74,3 +76,22 @@ def test_schema_table_required_column_matches_the_dataclasses():
         assert set(re.findall(r"`(\w+)`", required)) == {
             f.name for f in fields(cls)
             if f.default is MISSING and f.default_factory is MISSING}, section
+
+
+def test_flag_table_names_every_long_option():
+    # Each subcommand's row of the CLI section's flag table names exactly
+    # the long options its parser takes, so a new flag cannot go unstated.
+    table = re.search(r"\| command \| flags \|\n\| --- \| --- \|\n((?:\|.*\n)+)",
+                      README.read_text())
+    assert table, "README.md has no flag table"
+    documented = {}
+    for row in table.group(1).splitlines():
+        command, flags = row.strip("|").split("|", 1)
+        documented[command.strip().strip("`")] = set(re.findall(r"`(--[\w-]+)`", flags))
+    commands, = (a.choices for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    assert documented == {
+        name: {option for action in parser._actions
+               for option in action.option_strings
+               if option.startswith("--") and option != "--help"}
+        for name, parser in commands.items()}
